@@ -25,6 +25,7 @@ import numpy as np
 from .elliptic import CoefficientField, Mesh, assemble, subdomain_indices
 from .fraccalc import TimeGrid, TimeSeries, caputo_derivative, mittag_leffler, rl_integral
 from .observability import (
+    ObservationMap,
     ObservationSetup,
     ProbeVector,
     branch_identity_probe,
@@ -69,7 +70,17 @@ class _Reference:
     mesh: Mesh
     source: SourcePair
     riesz: object = None
-    _cache: dict = field(default_factory=dict)
+    _observation: ObservationMap | None = field(default=None, repr=False)
+
+    def observation_map(self) -> ObservationMap:
+        """Quarter-domain spectral-route map shared by criteria 6 and 7, built on first use."""
+        if self._observation is None:
+            omega = subdomain_indices(self.mesh, (0.0, 0.25))
+            setup = ObservationSetup(
+                omega, OBSERVATION_TIMES, route="spectral", route_params={"riesz": self.riesz}
+            )
+            self._observation = build_observation_map(self.operator, ALPHA, setup)
+        return self._observation
 
 
 _REF: _Reference | None = None
@@ -196,15 +207,7 @@ def criterion_5_laplace_identity() -> CriterionResult:
 
 
 def criterion_6_observability_rank() -> CriterionResult:
-    ref = reference_problem()
-    omega = subdomain_indices(ref.mesh, (0.0, 0.25))
-    setup = ObservationSetup(
-        omega, OBSERVATION_TIMES, route="spectral", route_params={"riesz": ref.riesz}
-    )
-    obsmap = build_observation_map(ref.operator, ALPHA, setup)
-    rep = injectivity_report(obsmap)
-    ref._cache["obsmap"] = obsmap
-    ref._cache["setup"] = setup
+    rep = injectivity_report(reference_problem().observation_map())
     ok = rep.injective and rep.numerical_rank == rep.expected_rank
     return CriterionResult(
         6,
@@ -222,17 +225,10 @@ def criterion_6_observability_rank() -> CriterionResult:
 
 def criterion_7_recovery() -> CriterionResult:
     ref = reference_problem()
-    obsmap = ref._cache.get("obsmap")
-    setup = ref._cache.get("setup")
-    if obsmap is None:
-        omega = subdomain_indices(ref.mesh, (0.0, 0.25))
-        setup = ObservationSetup(
-            omega, OBSERVATION_TIMES, route="spectral", route_params={"riesz": ref.riesz}
-        )
-        obsmap = build_observation_map(ref.operator, ALPHA, setup)
+    obsmap = ref.observation_map()
     data = synthesize_observations(obsmap, ref.source, noise=1e-3, seed=RECOVERY_SEED)
     result = invert_source(
-        ref.operator, ALPHA, setup, data, observation_map=obsmap
+        ref.operator, ALPHA, obsmap.setup, data, observation_map=obsmap
     )  # Tikhonov default
     truth = np.concatenate([ref.source.a, ref.source.b])
     guess = np.concatenate([result.a_hat, result.b_hat])

@@ -87,41 +87,34 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     times = cfg.solver_times()
     outputs = []
     solutions = {}
-    route_meta = {}
     riesz = None
     for route in cfg.solver.routes:
         if route == "timestep":
-            grid = TimeGrid(cfg.problem.T, cfg.problem.K)
-            sol = solve_timestep(op, source, alpha, grid)
-            states = states_at(sol, times)
+            sol = solve_timestep(op, source, alpha, TimeGrid(cfg.problem.T, cfg.problem.K))
         elif route == "resolvent":
             sol = solve_resolvent(
                 op, source, alpha, times, contour=LaplaceContour(cfg.solver.talbot_nodes)
             )
-            states = sol.states
         else:
             if riesz is None:
                 eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
                 riesz = compute_riesz_data(op, eigsys, cfg.spectral.contour_nodes)
             sol = solve_spectral_oracle(riesz, source, alpha, times)
-            states = sol.states
-        solutions[route] = states
-        route_meta[route] = sol.params
-        outputs += _write_slices(outdir, route, times, states)
+        solutions[route] = sol
+        outputs += _write_slices(outdir, route, times, states_at(sol, times))
 
     diff_path = os.path.join(outdir, "route_differences.csv")
     with open(diff_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "route_a", "route_b", "relative_l2_difference"])
         names = list(solutions)
-        for ia in range(len(names)):
-            for ib in range(ia + 1, len(names)):
-                scale = lambda x: max(float(np.linalg.norm(x)), 1e-300)
-                for it, t in enumerate(times):
-                    xa, xb = solutions[names[ia]][it], solutions[names[ib]][it]
-                    rel = np.linalg.norm(xa - xb) / max(scale(xa), scale(xb))
-                    writer.writerow([f"{t:.17g}", names[ia], names[ib], f"{rel:.6g}"])
+        for ia, name_a in enumerate(names):
+            for name_b in names[ia + 1:]:
+                rel = route_difference(solutions[name_a], solutions[name_b], times)
+                for t, r in zip(times, rel):
+                    writer.writerow([f"{t:.17g}", name_a, name_b, f"{r:.6g}"])
     outputs.append(diff_path)
+    route_meta = {route: sol.params for route, sol in solutions.items()}
     _write_manifest(outdir, "simulate", cfg, outputs, extra={"solver_metadata": route_meta})
     return EXIT_OK
 

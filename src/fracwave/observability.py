@@ -1,7 +1,8 @@
 """Subdomain observability and inverse source recovery.
 
 The map (a, b) -> u restricted to omega x sample-times is linear in the data,
-so it has a matrix representation built column by column from unit sources.
+so it has a matrix representation: the forward solution of the block of 2N
+unit sources, restricted to omega x sample-times.
 Its singular spectrum quantifies, at desk scale, whether observing the
 solution on an arbitrary subdomain determines the data pair: trivial kernel
 (sigma_min > 0, numerical rank 2N) is the finite-dimensional shadow of the
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .elliptic import as_matrix
-from .errors import ContourError, NumericsError
+from .errors import ConfigError, ContourError, NumericsError
 from .fraccalc import TimeGrid
 from .solver import (
     LaplaceContour,
@@ -112,14 +113,18 @@ class ObservationMap:
 
 
 def _solve_route(A, source: SourcePair, alpha: float, setup: ObservationSetup, shared):
+    """States (times, N, m) of a block of m sources at the sample times."""
     times = setup.sample_times
     if setup.route == "spectral":
-        return solve_spectral_oracle(shared, source, alpha, times)
+        return solve_spectral_oracle(shared, source, alpha, times).states
     if setup.route == "resolvent":
-        return solve_resolvent(A, source, alpha, times, contour=shared)
-    grid: TimeGrid = shared
-    field_ = solve_timestep(A, source, alpha, grid)
-    return states_at(field_, times)
+        return solve_resolvent(A, source, alpha, times, contour=shared).states
+    # one column at a time: a block trajectory would hold K+1 states per column
+    columns = [
+        states_at(solve_timestep(A, SourcePair(a, b), alpha, shared), times)
+        for a, b in zip(source.a.T, source.b.T)
+    ]
+    return np.stack(columns, axis=-1)
 
 
 def _route_shared_state(A, alpha: float, setup: ObservationSetup):
@@ -135,11 +140,12 @@ def _route_shared_state(A, alpha: float, setup: ObservationSetup):
     T = float(setup.sample_times[-1])
     K = int(setup.route_params.get("K", 1024))
     grid = TimeGrid(T, K)
-    # every sample time must land on a grid node
     k = np.rint(setup.sample_times / grid.dt)
     if np.any(np.abs(k * grid.dt - setup.sample_times) > 1e-9 * max(1.0, T)):
-        raise ValueError(
-            "sample times must be nodes of the time-stepping grid; adjust K"
+        raise ConfigError(
+            f"the time-stepping route needs sample times on its grid k * t_max / K "
+            f"(t_max = {T:g}, K = {K}); uniform:M times with timestep_K a multiple "
+            f"of M satisfy this"
         )
     return grid
 
@@ -149,54 +155,20 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
 
     Column j is the forward solution of the j-th unit source (a-basis first,
     then b-basis) restricted to omega x sample-times; linearity of the
-    evolution in (a, b) justifies the matrix representation.  For the spectral
-    route the Riesz decomposition is computed once and the unit-source solves
-    reduce to restricted projector columns, which assembles the same numbers
-    as 2N independent solves.
+    evolution in (a, b) justifies the matrix representation.  All 2N unit
+    sources go to the setup's route as one block, SourcePair([I 0], [0 I]).
     """
     mat = as_matrix(A)
     n = mat.shape[0]
     omega = setup.omega_indices
     if np.any(omega < 0) or np.any(omega >= n):
         raise ValueError("omega indices outside the operator's index range")
-    times = setup.sample_times
-    rows = times.size * omega.size
-    M = np.empty((rows, 2 * n))
+    rows = setup.sample_times.size * omega.size
     shared = _route_shared_state(A, alpha, setup)
-
-    if setup.route == "spectral":
-        riesz: RieszData = shared
-        from .fraccalc import mittag_leffler
-
-        e1 = np.empty((len(times), riesz.n_clusters), dtype=complex)
-        e2 = np.empty_like(e1)
-        for it, t in enumerate(times):
-            for ic, lam in enumerate(riesz.eigenvalues):
-                z = -lam * t**alpha
-                e1[it, ic] = mittag_leffler(alpha, 1.0, z)
-                e2[it, ic] = t * mittag_leffler(alpha, 2.0, z)
-        p_omega = [P[omega, :] for P in riesz.projections]
-        for it in range(len(times)):
-            blk_a = np.zeros((omega.size, n), dtype=complex)
-            blk_b = np.zeros((omega.size, n), dtype=complex)
-            for ic in range(riesz.n_clusters):
-                blk_a += e1[it, ic] * p_omega[ic]
-                blk_b += e2[it, ic] * p_omega[ic]
-            sl = slice(it * omega.size, (it + 1) * omega.size)
-            M[sl, :n] = blk_a.real
-            M[sl, n:] = blk_b.real
-    else:
-        zero = np.zeros(n)
-        for j in range(2 * n):
-            unit = np.zeros(n)
-            unit[j % n] = 1.0
-            source = SourcePair(unit, zero) if j < n else SourcePair(zero, unit)
-            try:
-                sol = _solve_route(A, source, alpha, setup, shared)
-            except NumericsError as exc:
-                raise NumericsError(f"forward solve failed for column {j}: {exc}") from exc
-            samples = sol if isinstance(sol, np.ndarray) else sol.states
-            M[:, j] = samples[:, omega].reshape(-1)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    units = SourcePair(np.hstack([eye, zero]), np.hstack([zero, eye]))
+    states = _solve_route(A, units, alpha, setup, shared)
+    M = states[:, omega, :].reshape(rows, 2 * n)
 
     u, s, vt = scipy.linalg.svd(M, full_matrices=False)
     return ObservationMap(

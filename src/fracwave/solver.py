@@ -10,10 +10,14 @@ each other; their agreement is the package's core correctness instrument.
 * ``solve_resolvent``: Bromwich inversion of
   u_hat(p) = (p^alpha + A)^(-1) (p^(alpha-1) a + p^(alpha-2) b)
   by trapezoid quadrature on a cotangent (Talbot) contour; one complex
-  linear solve per contour node per output time.
+  linear solve per contour node per output time, covering every column of a
+  source block.
 * ``solve_spectral_oracle``: Mittag-Leffler mode sum over the Riesz spectral
   decomposition; valid only for diagonalizable clusters and refuses
   defective input.
+
+The last two routes take one source or a block of sources (see
+:class:`SourcePair`) and return states shaped ``(times, *a.shape)``.
 
 The principal branch of p^alpha is used throughout, matching the branch
 structure the resolvent representation relies on.
@@ -46,7 +50,6 @@ __all__ = [
     "GrowthFit",
     "states_at",
     "route_difference",
-    "export_solution",
 ]
 
 _LOG_EPS = -math.log(np.finfo(float).eps)  # ~36.04
@@ -84,6 +87,10 @@ class SourcePair:
     """Initial data: u(0) = a and the linear-drift coefficient b.
 
     Both live on interior nodes, so a vanishes on the boundary by construction.
+    Each is a vector (N,) or a block (N, m) whose m columns are m sources;
+    ``solve_resolvent`` and ``solve_spectral_oracle`` solve a block at once.
+    ``solve_timestep`` takes one source: it keeps the whole trajectory, K+1
+    states per column, so a block would multiply that memory by m.
     """
 
     a: np.ndarray
@@ -92,9 +99,10 @@ class SourcePair:
     def __post_init__(self):
         self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
+        if self.a.shape != self.b.shape or self.a.ndim > 2:
             raise ValueError(
-                f"a and b must be vectors of equal length, got {self.a.shape} vs {self.b.shape}"
+                f"a and b must be vectors (N,) or blocks (N, m) of equal shape, "
+                f"got {self.a.shape} vs {self.b.shape}"
             )
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError("source data contain non-finite entries")
@@ -126,7 +134,7 @@ class SolutionSamples:
     """States at selected positive times (resolvent / spectral routes)."""
 
     times: np.ndarray
-    states: np.ndarray = field(repr=False)  # (len(times), N)
+    states: np.ndarray = field(repr=False)  # (len(times), N) or (len(times), N, m)
     alpha: float = 0.0
     route: str = ""
     params: dict = field(default_factory=dict)
@@ -171,6 +179,11 @@ def solve_timestep(A, source: SourcePair, alpha: float, grid: TimeGrid) -> Solut
     n = mat.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
+    if source.a.ndim != 1:
+        raise ValueError(
+            f"time stepping takes one source, got a block of shape {source.a.shape}; "
+            f"solve its columns one at a time"
+        )
     K = grid.K
     w, c0 = rl_weights(alpha, K)
     kappa0 = grid.dt**alpha / math.gamma(alpha + 2.0)
@@ -262,7 +275,8 @@ def solve_resolvent(
 
     For each time the contour is scaled as sigma = r/t, quadrature runs over
     the conjugate-symmetric node pairs, and each node costs one complex solve
-    with p^alpha I + A.  The real part of the symmetric-node sum is returned.
+    with p^alpha I + A for all columns of the source.  The real part of the
+    symmetric-node sum is returned, shaped (times, *source.a.shape).
     When ``spectrum`` is given, nodes whose p^alpha comes too close to
     -spectrum raise :class:`ContourError`.
     """
@@ -284,7 +298,7 @@ def solve_resolvent(
     a = source.a.astype(complex)
     b = source.b.astype(complex)
     eye = np.eye(n, dtype=complex)
-    states = np.empty((len(times), n))
+    states = np.empty((len(times), *a.shape))
     rs = []
     for it, t in enumerate(times):
         r = contour.pick_r(alpha, t, rho)
@@ -300,7 +314,7 @@ def solve_resolvent(
                     f"contour collides with the generalized spectrum at t={t} "
                     f"(min |p^alpha + lambda| = {dist:.3g})"
                 )
-        acc = np.zeros(n)
+        acc = np.zeros(a.shape)
         for m in range(half):
             rhs = p[m] ** (alpha - 1.0) * a + p[m] ** (alpha - 2.0) * b
             try:
@@ -344,7 +358,8 @@ def solve_spectral_oracle(
     ||D_n|| beyond ``nilpotent_tol`` (relative to max(1, |lambda_n|)) raises
     :class:`DefectiveClusterError` instead of returning a silently wrong
     answer.  Complex cluster eigenvalues are supported through the
-    Mittag-Leffler function at complex argument.
+    Mittag-Leffler function at complex argument.  States are shaped
+    (times, *source.a.shape).
     """
     _check_alpha(alpha)
     for lam, D in zip(riesz.eigenvalues, riesz.nilpotents):
@@ -360,17 +375,17 @@ def solve_spectral_oracle(
     n = riesz.projections[0].shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
-    pa = [P @ source.a.astype(complex) for P in riesz.projections]
-    pb = [P @ source.b.astype(complex) for P in riesz.projections]
-    states_c = np.zeros((len(times), n), dtype=complex)
-    for it, t in enumerate(times):
-        acc = np.zeros(n, dtype=complex)
-        for lam, va, vb in zip(riesz.eigenvalues, pa, pb):
+    a = source.a.astype(complex)
+    b = source.b.astype(complex)
+    states_c = np.zeros((len(times), *a.shape), dtype=complex)
+    for lam, P in zip(riesz.eigenvalues, riesz.projections):
+        va, vb = P @ a, P @ b
+        has_b = np.any(vb)
+        for it, t in enumerate(times):
             z = -lam * t**alpha
-            acc += mittag_leffler(alpha, 1.0, z) * va
-            if np.any(vb):
-                acc += t * mittag_leffler(alpha, 2.0, z) * vb
-        states_c[it] = acc
+            states_c[it] += mittag_leffler(alpha, 1.0, z) * va
+            if has_b:
+                states_c[it] += t * mittag_leffler(alpha, 2.0, z) * vb
     imag_resid = float(np.max(np.abs(states_c.imag))) if states_c.size else 0.0
     scale = max(1.0, float(np.max(np.abs(states_c.real))))
     if imag_resid > 1e-6 * scale:
@@ -497,19 +512,3 @@ def route_difference(u1, u2, times) -> np.ndarray:
         scale = max(np.linalg.norm(x), np.linalg.norm(y), 1e-300)
         out[i] = np.linalg.norm(x - y) / scale
     return out
-
-
-def export_solution(u: SolutionField | SolutionSamples, times, outdir, prefix="u") -> list[str]:
-    """One CSV per time slice: node index and state value."""
-    import os
-
-    paths = []
-    sel = states_at(u, times)
-    for tv, state in zip(np.atleast_1d(times), sel):
-        path = os.path.join(outdir, f"{prefix}_{u.route}_t{tv:.6g}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,value\n")
-            for i, val in enumerate(state):
-                fh.write(f"{i},{val:.17g}\n")
-        paths.append(path)
-    return paths

@@ -174,6 +174,15 @@ class TestObservability:
         )
         assert main(["observability", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_timestep_route_needs_grid_times(self, tmp_path, capsys):
+        text = "[problem]\ninterior = 6\nb1 = 1\n\n[observation]\nomega = 0 1\n"
+        off_grid = write(tmp_path, text + "times = geometric:16:1e-2\n")
+        argv = ["observability", "--route", "timestep", "--config"]
+        assert main([*argv, off_grid, "--out", str(tmp_path / "o")]) == 1
+        assert "uniform:M" in capsys.readouterr().err
+        on_grid = write(tmp_path, text + "times = uniform:8\ntimestep_K = 512\n", "grid.ini")
+        assert main([*argv, on_grid, "--out", str(tmp_path / "g")]) == 0
+
 
 class TestInvert:
     CFG = (

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from fracwave.elliptic import CoefficientField, Mesh, assemble, subdomain_indices
 from fracwave.errors import ContourError, NumericsError
-from fracwave.fraccalc import mittag_leffler
+from fracwave.fraccalc import TimeGrid, mittag_leffler
 from fracwave.observability import (
     ObservationSetup,
     ProbeVector,
@@ -20,7 +20,14 @@ from fracwave.observability import (
     write_recovery_csv,
     write_singular_values_csv,
 )
-from fracwave.solver import SourcePair, solve_spectral_oracle
+from fracwave.solver import (
+    LaplaceContour,
+    SourcePair,
+    solve_resolvent,
+    solve_spectral_oracle,
+    solve_timestep,
+    states_at,
+)
 from fracwave.spectral import compute_riesz_data, eigendecompose
 
 ALPHA = 1.5
@@ -29,6 +36,13 @@ ALPHA = 1.5
 def make_operator(n, advection=1.0):
     mesh = Mesh((0.0,), (1.0,), (n,))
     op = assemble(mesh, CoefficientField.from_callables(mesh, b1=advection))
+    return mesh, op
+
+
+def make_operator_2d():
+    # non-square 4x3 grid with advection in both directions
+    mesh = Mesh((0.0, 0.0), (1.0, 0.7), (4, 3))
+    op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
     return mesh, op
 
 
@@ -65,9 +79,16 @@ class TestBuildObservationMap:
         assert rep.sigma_min == 0.0  # second singular value of the column map
         assert not rep.injective
 
-    def test_routes_agree_on_map(self):
-        mesh, op = make_operator(6)
-        omega = subdomain_indices(mesh, (0.0, 0.5))
+    @pytest.mark.parametrize(
+        "mesh, op, box",
+        [
+            (*make_operator(6), (0.0, 0.5)),
+            (*make_operator_2d(), ((0.0, 0.5), (0.0, 0.7))),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_routes_agree_on_map(self, mesh, op, box):
+        omega = subdomain_indices(mesh, box)
         times = np.array([0.25, 0.5, 0.75, 1.0])
         maps = {}
         for route, params in [
@@ -80,16 +101,23 @@ class TestBuildObservationMap:
         assert np.max(np.abs(maps["spectral"] - maps["resolvent"])) < 1e-8
         assert np.max(np.abs(maps["spectral"] - maps["timestep"])) < 1e-3
 
-    def test_linearity_against_direct_solve(self):
+    @pytest.mark.parametrize("route", ["spectral", "resolvent", "timestep"])
+    def test_linearity_against_direct_solve(self, route):
         mesh, op = make_operator(8)
         omega = subdomain_indices(mesh, (0.0, 0.5))
         times = np.array([0.2, 0.6, 1.0])
-        setup = ObservationSetup(omega, times, route="spectral")
+        setup = ObservationSetup(omega, times, route=route, route_params={"K": 1000})
         M = build_observation_map(op, ALPHA, setup)
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), x * (1 - x))
-        riesz = compute_riesz_data(op, eigendecompose(op))
-        direct = solve_spectral_oracle(riesz, src, ALPHA, times).states[:, omega].reshape(-1)
+        if route == "spectral":
+            riesz = compute_riesz_data(op, eigendecompose(op))
+            states = solve_spectral_oracle(riesz, src, ALPHA, times).states
+        elif route == "resolvent":
+            states = solve_resolvent(op, src, ALPHA, times, contour=LaplaceContour(48)).states
+        else:
+            states = states_at(solve_timestep(op, src, ALPHA, TimeGrid(1.0, 1000)), times)
+        direct = states[:, omega].reshape(-1)
         via_map = M.matrix @ np.concatenate([src.a, src.b])
         assert np.max(np.abs(direct - via_map)) < 1e-8
 

@@ -1,5 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.elliptic import CoefficientField, Mesh, assemble
 from fracwave.errors import DefectiveClusterError
@@ -103,6 +108,9 @@ class TestTimestep:
     def test_source_size_mismatch(self):
         with pytest.raises(ValueError):
             solve_timestep(np.eye(3), SourcePair([1.0, 0.0], [0.0, 0.0]), ALPHA, TimeGrid(1.0, 8))
+        # a block of sources is refused: the trajectory would hold K+1 states per column
+        with pytest.raises(ValueError, match="one source"):
+            solve_timestep(np.eye(3), SourcePair(np.eye(3), np.eye(3)), ALPHA, TimeGrid(1.0, 8))
 
 
 class TestResolvent:
@@ -194,6 +202,49 @@ class TestCrossRoute:
         u = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 128))
         with pytest.raises(ValueError):
             states_at(u, [0.3])
+
+
+@functools.lru_cache(maxsize=None)
+def advection_problem(n):
+    mesh = Mesh((0.0,), (1.0,), (n,))
+    op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0))
+    return op, compute_riesz_data(op, eigendecompose(op))
+
+
+class TestSourceBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        m=st.integers(1, 4),
+        route=st.sampled_from(["resolvent", "spectral"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_stacked_columns(self, n, m, route, seed):
+        op, riesz = advection_problem(n)
+        times = [0.1, 0.5, 1.0]
+        if route == "resolvent":
+            solve = lambda src: solve_resolvent(op, src, ALPHA, times)
+        else:
+            solve = lambda src: solve_spectral_oracle(riesz, src, ALPHA, times)
+        rng = np.random.default_rng(seed)
+        block = SourcePair(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+        got = solve(block)
+        want = np.stack(
+            [solve(SourcePair(a, b)).states for a, b in zip(block.a.T, block.b.T)], axis=-1
+        )
+        assert got.states.shape == (len(times), n, m)
+        tol = 1e-13
+        if route == "resolvent":
+            # threaded BLAS may round a block solve and a one-column solve
+            # differently, and the Talbot sum amplifies rounding by e^r
+            tol = max(tol, math.exp(max(got.params["r"])) * np.finfo(float).eps)
+        assert np.max(np.abs(got.states - want)) <= tol * np.max(np.abs(want))
+
+    def test_source_shapes_validated(self):
+        with pytest.raises(ValueError):
+            SourcePair(np.zeros((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            SourcePair(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestLaplaceIdentity:
