@@ -80,28 +80,50 @@ def _write_slices(outdir: str, route: str, times, states) -> list:
     return paths
 
 
+def _checked(where: str, build, *args, **kwargs):
+    """Build an object from config values; its own ValueError is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _riesz_data(op, cfg: ExperimentConfig):
+    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
+    return _checked(
+        "[spectral] contour_nodes", compute_riesz_data, op, eigsys, cfg.spectral.contour_nodes
+    )
+
+
 def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
     source = cfg.build_source()
     alpha = cfg.problem.alpha
+    T, K = cfg.problem.T, cfg.problem.K
     times = cfg.solver_times()
     outputs = []
     solutions = {}
     riesz = None
     for route in cfg.solver.routes:
         if route == "timestep":
-            sol = solve_timestep(op, source, alpha, TimeGrid(cfg.problem.T, cfg.problem.K))
+            sol = solve_timestep(op, source, alpha, _checked("[problem] T, K", TimeGrid, T, K))
         elif route == "resolvent":
-            sol = solve_resolvent(
-                op, source, alpha, times, contour=LaplaceContour(cfg.solver.talbot_nodes)
-            )
+            contour = _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
+            sol = solve_resolvent(op, source, alpha, times, contour=contour)
         else:
             if riesz is None:
-                eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-                riesz = compute_riesz_data(op, eigsys, cfg.spectral.contour_nodes)
+                riesz = _riesz_data(op, cfg)
             sol = solve_spectral_oracle(riesz, source, alpha, times)
         solutions[route] = sol
-        outputs += _write_slices(outdir, route, times, states_at(sol, times))
+        # only the time-stepping route can miss a requested time
+        states = _checked(
+            f"[solver] times must be nodes k * T / K of the time-stepping grid "
+            f"(T = {T:g}, K = {K})",
+            states_at,
+            sol,
+            times,
+        )
+        outputs += _write_slices(outdir, route, times, states)
 
     diff_path = os.path.join(outdir, "route_differences.csv")
     with open(diff_path, "w", encoding="utf-8", newline="") as fh:
@@ -121,8 +143,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
-    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-    riesz = compute_riesz_data(op, eigsys, cfg.spectral.contour_nodes)
+    riesz = _riesz_data(op, cfg)
     report = verify_identities(op, riesz)
     path = os.path.join(outdir, "spectrum.csv")
     write_spectrum_csv(riesz, report, path)
@@ -131,7 +152,9 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
 
 
 def _observation_setup(cfg: ExperimentConfig, mesh) -> ObservationSetup:
-    return ObservationSetup(
+    return _checked(
+        "[observation]",
+        ObservationSetup,
         cfg.observation_omega(mesh),
         cfg.observation_times(),
         route=cfg.observation.route,

@@ -2,10 +2,13 @@
 
 Discretizes  A v = -( sum_ij d_i(a_ij d_j v) + sum_j b_j d_j v + c v )  on a
 1D interval or 2D rectangle with homogeneous Dirichlet conditions, second-order
-centered stencils, and midpoint averages of the diffusion coefficients.  The
-sign convention matches the evolution problem d_t^alpha(u - a - bt) = -A u:
-for vanishing advection and c the assembled matrix is the (positive) Dirichlet
-Laplacian-type operator.
+centered stencils, and midpoint averages of the diffusion coefficients.  One
+assembly serves both dimensions: each axis adds its three-point stencil as
+array slices at flat offsets 0 and +-stride (stride 1 for x, nx for y), with
+advection entries computed as b / (2h); the 2D mixed term is Dx L Dy + Dy L Dx
+with Kronecker-product difference matrices.  The sign convention matches the
+evolution problem d_t^alpha(u - a - bt) = -A u: for vanishing advection and c
+the assembled matrix is the (positive) Dirichlet Laplacian-type operator.
 """
 
 from __future__ import annotations
@@ -75,12 +78,8 @@ class Mesh:
 
     def interior_coordinates(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays of the N interior nodes, in flat ordering."""
-        if self.dimension == 1:
-            return (self.axis_nodes(0),)
-        x = self.axis_nodes(0)
-        y = self.axis_nodes(1)
-        xx, yy = np.meshgrid(x, y)  # shape (ny, nx), x fastest in flat order
-        return xx.ravel(), yy.ravel()
+        inner = (slice(1, -1),) * self.dimension
+        return tuple(g[inner].ravel() for g in _full_grids(self))
 
 
 def _full_grids(mesh: Mesh) -> tuple[np.ndarray, ...]:
@@ -210,84 +209,49 @@ def as_matrix(A) -> np.ndarray:
     return mat
 
 
-def _assemble_1d(mesh: Mesh, coeffs: CoefficientField) -> np.ndarray:
-    n = mesh.interior[0]
-    h = mesh.spacing[0]
-    a = coeffs.a11  # full grid, length n+2
-    amid = 0.5 * (a[:-1] + a[1:])  # a at midpoints, length n+1
-    b = coeffs.b1[1:-1]
-    c = coeffs.c[1:-1]
-    R = np.zeros((n, n))
-    idx = np.arange(n)
-    R[idx, idx] = -(amid[1:] + amid[:-1]) / h**2 + c
-    R[idx[:-1], idx[:-1] + 1] = amid[1:-1] / h**2 + b[:-1] / (2 * h)
-    R[idx[1:], idx[1:] - 1] = amid[1:-1] / h**2 - b[1:] / (2 * h)
-    return -R
+def _centered_difference(n: int, h: float) -> np.ndarray:
+    """1D centered first-difference matrix with Dirichlet ends."""
+    return (np.eye(n, k=1) - np.eye(n, k=-1)) / (2 * h)
 
 
-def _diff_matrices_2d(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Centered first-difference matrices (Dirichlet) on the flat ordering."""
-    nx, ny = mesh.interior
-    hx, hy = mesh.spacing
-    N = nx * ny
-    Dx = np.zeros((N, N))
-    Dy = np.zeros((N, N))
-    for iy in range(ny):
-        for ix in range(nx):
-            row = iy * nx + ix
-            if ix + 1 < nx:
-                Dx[row, row + 1] = 1.0 / (2 * hx)
-            if ix - 1 >= 0:
-                Dx[row, row - 1] = -1.0 / (2 * hx)
-            if iy + 1 < ny:
-                Dy[row, row + nx] = 1.0 / (2 * hy)
-            if iy - 1 >= 0:
-                Dy[row, row - nx] = -1.0 / (2 * hy)
-    return Dx, Dy
-
-
-def _assemble_2d(mesh: Mesh, coeffs: CoefficientField) -> np.ndarray:
-    nx, ny = mesh.interior
-    hx, hy = mesh.spacing
-    N = nx * ny
+def _assemble(mesh: Mesh, coeffs: CoefficientField) -> np.ndarray:
+    d = mesh.dimension
+    inner = (slice(1, -1),) * d
+    N = mesh.size
     R = np.zeros((N, N))
+    node = np.arange(N)
+    stride = 1
+    # divergence-form principal part (midpoint coefficient averages) and
+    # centered advection, one axis at a time; axis k is array axis d - 1 - k
+    for axis, (a, b) in enumerate([(coeffs.a11, coeffs.b1), (coeffs.a22, coeffs.b2)][:d]):
+        n, h = mesh.interior[axis], mesh.spacing[axis]
 
-    a11, a22, a12 = coeffs.a11, coeffs.a22, coeffs.a12  # (ny+2, nx+2)
-    # divergence-form principal part, midpoint coefficient averages
-    for iy in range(ny):
-        for ix in range(nx):
-            row = iy * nx + ix
-            gx, gy = ix + 1, iy + 1  # full-grid indices
-            axp = 0.5 * (a11[gy, gx] + a11[gy, gx + 1])
-            axm = 0.5 * (a11[gy, gx] + a11[gy, gx - 1])
-            ayp = 0.5 * (a22[gy, gx] + a22[gy + 1, gx])
-            aym = 0.5 * (a22[gy, gx] + a22[gy - 1, gx])
-            R[row, row] += -(axp + axm) / hx**2 - (ayp + aym) / hy**2
-            if ix + 1 < nx:
-                R[row, row + 1] += axp / hx**2
-            if ix - 1 >= 0:
-                R[row, row - 1] += axm / hx**2
-            if iy + 1 < ny:
-                R[row, row + nx] += ayp / hy**2
-            if iy - 1 >= 0:
-                R[row, row - nx] += aym / hy**2
+        def shifted(s):  # samples at interior nodes moved by s along this axis
+            idx = list(inner)
+            idx[d - 1 - axis] = slice(1 + s, n + 1 + s)
+            return a[tuple(idx)].ravel()
 
-    interior_slice = (slice(1, -1), slice(1, -1))
-    if np.any(a12[interior_slice] != 0.0):
+        a_plus = 0.5 * (shifted(0) + shifted(1))
+        a_minus = 0.5 * (shifted(0) + shifted(-1))
+        bc = b[inner].ravel()
+        R[node, node] += -(a_plus + a_minus) / h**2
+        pos = node // stride % n
+        up, down = node[pos < n - 1], node[pos > 0]
+        R[up, up + stride] = (a_plus / h**2 + bc / (2 * h))[up]
+        R[down, down - stride] = (a_minus / h**2 - bc / (2 * h))[down]
+        stride *= n
+
+    if d == 2 and np.any(coeffs.a12[inner] != 0.0):
         # mixed terms d_x(a12 d_y v) + d_y(a12 d_x v) as Dx L Dy + Dy L Dx with
         # L = diag(a12 at interior nodes); Dx, Dy are antisymmetric, so the
         # mixed block is exactly symmetric
-        Dx, Dy = _diff_matrices_2d(mesh)
-        lam = a12[interior_slice].ravel()
+        (nx, ny), (hx, hy) = mesh.interior, mesh.spacing
+        Dx = np.kron(np.eye(ny), _centered_difference(nx, hx))
+        Dy = np.kron(_centered_difference(ny, hy), np.eye(nx))
+        lam = coeffs.a12[inner].ravel()
         R += Dx @ (lam[:, None] * Dy) + Dy @ (lam[:, None] * Dx)
 
-    b1 = coeffs.b1[interior_slice].ravel()
-    b2 = coeffs.b2[interior_slice].ravel()
-    if np.any(b1 != 0.0) or np.any(b2 != 0.0):
-        Dx, Dy = _diff_matrices_2d(mesh)
-        R += b1[:, None] * Dx + b2[:, None] * Dy
-
-    R[np.diag_indices(N)] += coeffs.c[interior_slice].ravel()
+    R[node, node] += coeffs.c[inner].ravel()
     return -R
 
 
@@ -304,7 +268,7 @@ def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
         raise EllipticityError(
             f"diffusion matrix is not uniformly elliptic: min eigenvalue {eps0:.6g}"
         )
-    mat = _assemble_1d(mesh, coeffs) if mesh.dimension == 1 else _assemble_2d(mesh, coeffs)
+    mat = _assemble(mesh, coeffs)
     return DiscreteOperator(mat, mesh, coeffs)
 
 

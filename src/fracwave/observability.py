@@ -128,18 +128,21 @@ def _solve_route(A, source: SourcePair, alpha: float, setup: ObservationSetup, s
 
 
 def _route_shared_state(A, alpha: float, setup: ObservationSetup):
-    if setup.route == "spectral":
-        riesz = setup.route_params.get("riesz")
-        if riesz is None:
-            nodes = setup.route_params.get("contour_nodes", 64)
-            eigsys = eigendecompose(A, setup.route_params.get("cluster_tol"))
-            riesz = compute_riesz_data(A, eigsys, nodes)
-        return riesz
-    if setup.route == "resolvent":
-        return LaplaceContour(nodes=setup.route_params.get("contour_nodes", 48))
+    params = setup.route_params
     T = float(setup.sample_times[-1])
-    K = int(setup.route_params.get("K", 1024))
-    grid = TimeGrid(T, K)
+    K = int(params.get("K", 1024))
+    try:
+        if setup.route == "spectral":
+            riesz = params.get("riesz")
+            if riesz is None:
+                eigsys = eigendecompose(A, params.get("cluster_tol"))
+                riesz = compute_riesz_data(A, eigsys, params.get("contour_nodes", 64))
+            return riesz
+        if setup.route == "resolvent":
+            return LaplaceContour(nodes=params.get("contour_nodes", 48))
+        grid = TimeGrid(T, K)
+    except ValueError as exc:
+        raise ConfigError(f"{setup.route} route parameters: {exc}") from exc
     k = np.rint(setup.sample_times / grid.dt)
     if np.any(np.abs(k * grid.dt - setup.sample_times) > 1e-9 * max(1.0, T)):
         raise ConfigError(

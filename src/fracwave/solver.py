@@ -491,8 +491,13 @@ def states_at(u: SolutionField | SolutionSamples, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if isinstance(u, SolutionField):
         k = np.rint(times / u.grid.dt).astype(int)
-        if np.any(np.abs(k * u.grid.dt - times) > 1e-9 * max(1.0, u.grid.T)):
-            raise ValueError("requested times are not nodes of the trajectory grid")
+        tol = 1e-9 * max(1.0, u.grid.T)
+        off = (k < 0) | (k > u.grid.K) | (np.abs(k * u.grid.dt - times) > tol)
+        if np.any(off):
+            raise ValueError(
+                f"times {times[off].tolist()} are not nodes of the trajectory grid on "
+                f"[0, {u.grid.T:g}]"
+            )
         return u.states[k]
     idx = []
     for tv in times:

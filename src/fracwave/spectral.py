@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .errors import ContourError, NumericsError
 
@@ -73,25 +74,9 @@ class RieszData:
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clustering of complex points at distance <= tol."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(ix) for ix in groups.values()]
+    close = np.abs(values[:, None] - values[None, :]) <= tol
+    count, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
+    return [np.flatnonzero(labels == k) for k in range(count)]
 
 
 def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
@@ -99,8 +84,10 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) become one
     cluster located at their mean, with summed multiplicity.  The contour
-    radius of a cluster is half the distance to the nearest other cluster,
-    never less than 10 * cluster_tol; a lone cluster gets max(1, 10 * tol).
+    radius of a cluster is half the distance to the nearest other cluster, so
+    no two circles overlap (r_i + r_j <= |lambda_i - lambda_j|); a lone
+    cluster gets max(1, 10 * cluster_tol).  A cluster whose members spread
+    over more than half its radius raises :class:`NumericsError`.
 
     ``cluster_tol`` defaults to 1e-6 * ||A||_2, the natural size of eigenvalue
     perturbations of discretized non-normal operators.
@@ -125,34 +112,20 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     centers, mults = centers[order], mults[order]
     groups = [groups[i] for i in order]
 
-    nc = len(centers)
-    radii = np.empty(nc)
-    for i in range(nc):
-        if nc == 1:
-            radii[i] = max(1.0, 10.0 * cluster_tol)
-        else:
-            gap = min(abs(centers[i] - centers[j]) for j in range(nc) if j != i)
-            radii[i] = max(0.5 * gap, 10.0 * cluster_tol)
-    # the circles must separate the clusters they are supposed to isolate
-    for i in range(nc):
-        spread = max(abs(raw[g] - centers[i]).max() for g in [groups[i]])
-        if spread > 0.5 * radii[i]:
+    if len(centers) == 1:
+        radii = np.array([max(1.0, 10.0 * cluster_tol)])
+    else:
+        gaps = np.abs(centers[:, None] - centers[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        radii = 0.5 * gaps.min(axis=1)
+    for g, lam, rad in zip(groups, centers, radii):
+        spread = np.abs(raw[g] - lam).max()
+        if spread > 0.5 * rad:
             raise NumericsError(
-                f"cluster at {centers[i]:.6g} has spread {spread:.3g} "
-                f"comparable to its contour radius {radii[i]:.3g}; "
+                f"cluster at {lam:.6g} has spread {spread:.3g} "
+                f"comparable to its contour radius {rad:.3g}; "
                 f"increase cluster_tol"
             )
-        for j in range(nc):
-            if j == i:
-                continue
-            dist = abs(centers[i] - centers[j])
-            # half-gap radii can make adjacent circles touch; only genuine
-            # overlap (the lower cap winning over the half-gap rule) is fatal
-            if dist < (radii[i] + radii[j]) * (1.0 - 1e-12):
-                raise NumericsError(
-                    f"contour circles of clusters {centers[i]:.6g} and "
-                    f"{centers[j]:.6g} intersect; increase cluster_tol"
-                )
     return Eigensystem(centers, radii, mults, raw, cluster_tol)
 
 
@@ -172,6 +145,8 @@ def riesz_projection(
     """
     from .elliptic import as_matrix
 
+    if nodes < 1:
+        raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A).astype(complex)
     n = mat.shape[0]
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes

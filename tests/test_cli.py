@@ -225,6 +225,39 @@ class TestInvert:
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
+
+class TestConfigErrors:
+    BASE = "[problem]\ninterior = 8\nb1 = 1\n"
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 0.3\n"),
+            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 2.0\n"),
+            ("observability", "\n[observation]\nomega = 0 1\ntimes = 0.5 0.2\n"),
+            ("simulate", "\n[solver]\nroutes = resolvent\ntalbot_nodes = 3\n"),
+            ("simulate", "K = 1\n"),
+            ("spectrum", "\n[spectral]\ncontour_nodes = 0\n"),
+        ],
+        ids=[
+            "off-grid-time",
+            "time-past-T",
+            "decreasing-observation-times",
+            "odd-talbot-nodes",
+            "one-time-step",
+            "no-contour-nodes",
+        ],
+    )
+    def test_exits_1_with_config_error(self, tmp_path, capsys, command, extra):
+        cfg = write(tmp_path, self.BASE + extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_values_unused_by_the_routes_stay_accepted(self, tmp_path):
+        text = self.BASE + "K = 1\n\n[solver]\nroutes = spectral\ntalbot_nodes = 3\n"
+        cfg = write(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
 class TestSelftestAndUsage:
     def test_no_arguments_prints_usage(self, capsys):
         assert main([]) == 0

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.elliptic import (
     CoefficientField,
@@ -124,6 +126,31 @@ class TestAssemble1D:
         assert errs[1] / errs[2] > 3.5
 
 
+def node_loop_reference(m, cf):
+    """The 2D stencil without mixed term, written out node by node."""
+    nx, ny = m.interior
+    hx, hy = m.spacing
+    R = np.zeros((nx * ny, nx * ny))
+    for iy in range(ny):
+        for ix in range(nx):
+            row, gx, gy = iy * nx + ix, ix + 1, iy + 1
+            axp = 0.5 * (cf.a11[gy, gx] + cf.a11[gy, gx + 1])
+            axm = 0.5 * (cf.a11[gy, gx] + cf.a11[gy, gx - 1])
+            ayp = 0.5 * (cf.a22[gy, gx] + cf.a22[gy + 1, gx])
+            aym = 0.5 * (cf.a22[gy, gx] + cf.a22[gy - 1, gx])
+            bx, by = cf.b1[gy, gx], cf.b2[gy, gx]
+            R[row, row] = -(axp + axm) / hx**2 - (ayp + aym) / hy**2 + cf.c[gy, gx]
+            if ix + 1 < nx:
+                R[row, row + 1] = axp / hx**2 + bx / (2 * hx)
+            if ix > 0:
+                R[row, row - 1] = axm / hx**2 - bx / (2 * hx)
+            if iy + 1 < ny:
+                R[row, row + nx] = ayp / hy**2 + by / (2 * hy)
+            if iy > 0:
+                R[row, row - nx] = aym / hy**2 - by / (2 * hy)
+    return -R
+
+
 class TestAssemble2D:
     def test_five_point_laplacian(self):
         m = unit_square(3)
@@ -173,6 +200,42 @@ class TestAssemble2D:
         assert np.max(np.abs(sym - sym.T)) == 0.0
         askew = assemble(m, CoefficientField.from_callables(m, b2=1.0)).matrix
         assert np.max(np.abs(askew - askew.T)) > 0.1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(2, 6),
+        ny=st.integers(2, 6),
+        advection=st.sampled_from([0.0, 1.0, 300.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sum_of_line_assemblies(self, nx, ny, advection, seed):
+        # with a12 = 0 the 2D operator equals its node-by-node stencil, and the
+        # 1D operators of its x-lines and y-lines plus the reaction term, bit
+        # for bit
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1.0, 0.0, 2)
+        m = Mesh(tuple(lo), tuple(lo + rng.uniform(0.3, 2.0, 2)), (nx, ny))
+        shape = (ny + 2, nx + 2)
+        a11, a22 = rng.uniform(0.01, 2.0, (2, *shape))
+        b1, b2 = advection * rng.standard_normal((2, *shape))
+        c = rng.standard_normal(shape)
+        cf = CoefficientField(m, a11=a11, a22=a22, b1=b1, b2=b2, c=c)
+        A = assemble(m, cf).matrix
+        np.testing.assert_array_equal(A, node_loop_reference(m, cf))
+
+        def line(axis, a, b):
+            m1 = Mesh((m.lo[axis],), (m.hi[axis],), (m.interior[axis],))
+            return assemble(m1, CoefficientField(m1, a11=a, b1=b)).matrix
+
+        want = np.zeros_like(A)
+        for iy in range(ny):
+            rows = iy * nx + np.arange(nx)
+            want[np.ix_(rows, rows)] += line(0, a11[iy + 1], b1[iy + 1])
+        for ix in range(nx):
+            rows = ix + nx * np.arange(ny)
+            want[np.ix_(rows, rows)] += line(1, a22[:, ix + 1], b2[:, ix + 1])
+        want[np.diag_indices(nx * ny)] -= c[1:-1, 1:-1].ravel()
+        np.testing.assert_array_equal(A, want)
 
 
 class TestSubdomain:

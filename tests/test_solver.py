@@ -203,6 +203,13 @@ class TestCrossRoute:
         with pytest.raises(ValueError):
             states_at(u, [0.3])
 
+    @pytest.mark.parametrize("t", [2.0, -0.5])
+    def test_states_at_rejects_times_outside_horizon(self, reference, t):
+        op, src, _ = reference
+        u = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 128))
+        with pytest.raises(ValueError, match="not nodes"):
+            states_at(u, [0.5, t])
+
 
 @functools.lru_cache(maxsize=None)
 def advection_problem(n):

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.elliptic import CoefficientField, Mesh, assemble
 from fracwave.errors import ContourError, NumericsError
@@ -58,11 +60,48 @@ class TestEigendecompose:
         es = eigendecompose(advection_operator)
         assert int(es.multiplicities.sum()) == 32
 
-    def test_cap_conflict_raises(self):
-        # clusters 1 and 2 with a huge tolerance: the 10*tol radius floor
-        # exceeds the half gap
-        with pytest.raises(NumericsError):
-            eigendecompose(np.diag([1.0, 2.0]), cluster_tol=0.3)
+    def test_wide_cluster_raises(self):
+        # the chain 0, 1, 2 is one cluster at 1 with spread 1, but the next
+        # cluster at 3.5 leaves it a radius of only 1.25
+        with pytest.raises(NumericsError, match="increase cluster_tol"):
+            eigendecompose(np.diag([0.0, 1.0, 2.0, 3.5]), cluster_tol=1.0)
+
+    def test_close_pair_gets_half_gap_radii(self):
+        # a gap of 0.05 is below the 10 * cluster_tol = 0.1 that once
+        # floored the radii and made these circles overlap
+        A = np.diag([0.0, 1.0, 1.05])
+        es = eigendecompose(A, cluster_tol=0.01)
+        np.testing.assert_allclose(es.radii, [0.5, 0.025, 0.025], rtol=1e-12)
+        assert verify_identities(A, compute_riesz_data(A, es)).passed
+
+    def test_square_grid_with_advection(self):
+        # near-degenerate pairs of the 2D Kronecker-sum spectrum sit about
+        # 0.02 apart here
+        mesh = Mesh((0.0, 0.0), (1.0, 1.0), (12, 12))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0))
+        es = eigendecompose(op)
+        assert int(es.multiplicities.sum()) == 144
+        assert es.radii.min() < 10.0 * es.cluster_tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=12,
+        ),
+        tol=st.floats(1e-3, 0.5),
+    )
+    def test_circles_never_overlap(self, points, tol):
+        try:
+            es = eigendecompose(np.diag(np.array(points, dtype=complex)), cluster_tol=tol)
+        except NumericsError as exc:
+            assert "spread" in str(exc)
+            return
+        c, r = es.eigenvalues, es.radii
+        dist = np.abs(c[:, None] - c[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert np.all(r[:, None] + r[None, :] <= dist)
 
 
 class TestRieszProjection:
