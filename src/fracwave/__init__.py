@@ -58,6 +58,7 @@ from .solver import (
     growth_probe,
     laplace_identity_check,
     route_difference,
+    solve,
     solve_resolvent,
     solve_spectral_oracle,
     solve_timestep,

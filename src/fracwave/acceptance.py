@@ -35,12 +35,12 @@ from .observability import (
     synthesize_observations,
 )
 from .solver import (
+    LaplaceContour,
     SourcePair,
     growth_probe,
     laplace_identity_check,
     route_difference,
-    solve_resolvent,
-    solve_spectral_oracle,
+    solve,
     solve_timestep,
 )
 from .spectral import compute_riesz_data, eigendecompose, lemma3_check, verify_identities
@@ -76,9 +76,7 @@ class _Reference:
         """Quarter-domain spectral-route map shared by criteria 6 and 7, built on first use."""
         if self._observation is None:
             omega = subdomain_indices(self.mesh, (0.0, 0.25))
-            setup = ObservationSetup(
-                omega, OBSERVATION_TIMES, route="spectral", route_params={"riesz": self.riesz}
-            )
+            setup = ObservationSetup(omega, OBSERVATION_TIMES, self.riesz)
             self._observation = build_observation_map(self.operator, ALPHA, setup)
         return self._observation
 
@@ -140,14 +138,12 @@ def criterion_2_mittag_leffler() -> CriterionResult:
 def criterion_3_cross_route() -> CriterionResult:
     ref = reference_problem()
     times = [0.25, 0.5, 1.0]
-    u_step = solve_timestep(ref.operator, ref.source, ALPHA, TimeGrid(1.0, 1024))
-    u_res = solve_resolvent(ref.operator, ref.source, ALPHA, times)
-    u_spec = solve_spectral_oracle(ref.riesz, ref.source, ALPHA, times)
-    d_ts = max(
-        route_difference(u_step, u_res, times).max(),
-        route_difference(u_step, u_spec, times).max(),
+    u_step, u_res, u_spec = (
+        solve(ref.operator, ref.source, ALPHA, times, method)
+        for method in (TimeGrid(1.0, 1024), LaplaceContour(), ref.riesz)
     )
-    d_rs = route_difference(u_res, u_spec, times).max()
+    d_ts = max(route_difference(u_step, u_res).max(), route_difference(u_step, u_spec).max())
+    d_rs = route_difference(u_res, u_spec).max()
     ok = d_ts <= 1e-3 and d_rs <= 1e-6
     return CriterionResult(
         3,

@@ -22,6 +22,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, FracwaveError, NumericsError
 from .fraccalc import TimeGrid
 from .observability import (
+    ObservationMap,
     ObservationSetup,
     build_observation_map,
     injectivity_report,
@@ -30,14 +31,7 @@ from .observability import (
     write_recovery_csv,
     write_singular_values_csv,
 )
-from .solver import (
-    LaplaceContour,
-    route_difference,
-    solve_resolvent,
-    solve_spectral_oracle,
-    solve_timestep,
-    states_at,
-)
+from .solver import LaplaceContour, route_difference, solve
 from .spectral import compute_riesz_data, eigendecompose, verify_identities, write_spectrum_csv
 
 EXIT_OK = 0
@@ -95,35 +89,27 @@ def _riesz_data(op, cfg: ExperimentConfig):
     )
 
 
+def _route_method(cfg: ExperimentConfig, op, route: str, grid: tuple, grid_fields: str):
+    """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral."""
+    if route == "spectral":
+        return _riesz_data(op, cfg)
+    if route == "resolvent":
+        return _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
+    return _checked(grid_fields, TimeGrid, *grid)
+
+
 def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
     source = cfg.build_source()
-    alpha = cfg.problem.alpha
-    T, K = cfg.problem.T, cfg.problem.K
     times = cfg.solver_times()
+    grid = (cfg.problem.T, cfg.problem.K)
     outputs = []
     solutions = {}
-    riesz = None
-    for route in cfg.solver.routes:
-        if route == "timestep":
-            sol = solve_timestep(op, source, alpha, _checked("[problem] T, K", TimeGrid, T, K))
-        elif route == "resolvent":
-            contour = _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
-            sol = solve_resolvent(op, source, alpha, times, contour=contour)
-        else:
-            if riesz is None:
-                riesz = _riesz_data(op, cfg)
-            sol = solve_spectral_oracle(riesz, source, alpha, times)
+    for route in dict.fromkeys(cfg.solver.routes):
+        method = _route_method(cfg, op, route, grid, "[problem] T, K")
+        sol = _checked("[solver] times", solve, op, source, cfg.problem.alpha, times, method)
         solutions[route] = sol
-        # only the time-stepping route can miss a requested time
-        states = _checked(
-            f"[solver] times must be nodes k * T / K of the time-stepping grid "
-            f"(T = {T:g}, K = {K})",
-            states_at,
-            sol,
-            times,
-        )
-        outputs += _write_slices(outdir, route, times, states)
+        outputs += _write_slices(outdir, route, times, sol.states)
 
     diff_path = os.path.join(outdir, "route_differences.csv")
     with open(diff_path, "w", encoding="utf-8", newline="") as fh:
@@ -132,7 +118,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
         names = list(solutions)
         for ia, name_a in enumerate(names):
             for name_b in names[ia + 1:]:
-                rel = route_difference(solutions[name_a], solutions[name_b], times)
+                rel = route_difference(solutions[name_a], solutions[name_b])
                 for t, r in zip(times, rel):
                     writer.writerow([f"{t:.17g}", name_a, name_b, f"{r:.6g}"])
     outputs.append(diff_path)
@@ -151,30 +137,25 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     return EXIT_OK
 
 
-def _observation_setup(cfg: ExperimentConfig, mesh) -> ObservationSetup:
-    return _checked(
-        "[observation]",
-        ObservationSetup,
-        cfg.observation_omega(mesh),
-        cfg.observation_times(),
-        route=cfg.observation.route,
-        route_params={
-            "K": cfg.observation.timestep_K,
-            "contour_nodes": cfg.spectral.contour_nodes
-            if cfg.observation.route == "spectral"
-            else cfg.solver.talbot_nodes,
-            "cluster_tol": cfg.spectral.cluster_tol,
-        },
-    )
+def _observation_map(cfg: ExperimentConfig, op, mesh) -> ObservationMap:
+    """The configured observation map; errors name the config fields."""
+    route = cfg.observation.route
+    omega, times = cfg.observation_omega(mesh), cfg.observation_times()
+    # the time-stepping grid ends at the last sample time
+    grid = (float(times.max(initial=0.0)), cfg.observation.timestep_K)
+    method = _route_method(cfg, op, route, grid, "[observation] times, timestep_K")
+    setup = _checked("[observation]", ObservationSetup, omega, times, method)
+    where = "[observation] times"
+    if route == "timestep":
+        where += " (uniform:M times with timestep_K a multiple of M are grid nodes)"
+    return _checked(where, build_observation_map, op, cfg.problem.alpha, setup)
 
 
 def cmd_observability(cfg: ExperimentConfig, outdir: str) -> int:
     if cfg.problem.kind != "elliptic":
         raise ConfigError("observability requires an elliptic problem")
     op = cfg.build_operator()
-    mesh = cfg.build_mesh()
-    setup = _observation_setup(cfg, mesh)
-    obsmap = build_observation_map(op, cfg.problem.alpha, setup)
+    obsmap = _observation_map(cfg, op, cfg.build_mesh())
     rep = injectivity_report(obsmap)
     sv_path = os.path.join(outdir, "singular_values.csv")
     mf_path = os.path.join(outdir, "observation_map.json")
@@ -206,9 +187,7 @@ def cmd_invert(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
     mesh = cfg.build_mesh()
     source = cfg.build_source(mesh)
-    setup = _observation_setup(cfg, mesh)
-    alpha = cfg.problem.alpha
-    obsmap = build_observation_map(op, alpha, setup)
+    obsmap = _observation_map(cfg, op, mesh)
     inv = cfg.inversion
     try:
         data = synthesize_observations(obsmap, source, noise=inv.noise, seed=inv.seed)
@@ -216,8 +195,8 @@ def cmd_invert(cfg: ExperimentConfig, outdir: str) -> int:
         raise ConfigError(str(exc)) from exc
     result = invert_source(
         op,
-        alpha,
-        setup,
+        cfg.problem.alpha,
+        obsmap.setup,
         data,
         method=inv.method,
         reg_scale=inv.reg_scale,

@@ -225,17 +225,12 @@ def _ml_cut_integrand(r: float, alpha: float, beta: float, z: complex) -> comple
     return math.exp(-r) * (f - g)
 
 
-def _quad_complex(func, lo, hi, **kw) -> complex:
-    re = quad(lambda r: func(r).real, lo, hi, **kw)[0]
-    im = quad(lambda r: func(r).imag, lo, hi, **kw)[0]
-    return re + 1j * im
-
-
 def _ml_cut_integral(alpha: float, beta: float, z: complex) -> complex:
     """Branch-cut part of the inverse-transform representation of E_{alpha,beta}."""
     gam = alpha - beta  # endpoint exponent r^gam
     peak = abs(z) ** (1.0 / alpha)
-    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    # complex_func: quad integrates the real and imaginary parts separately
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200, complex_func=True)
 
     def h(r: float) -> complex:
         return r**gam * _ml_cut_integrand(r, alpha, beta, z)
@@ -248,14 +243,14 @@ def _ml_cut_integral(alpha: float, beta: float, z: complex) -> complex:
         def h0(u: float) -> complex:
             return q * _ml_cut_integrand(u**q, alpha, beta, z)
 
-        total += _quad_complex(h0, 0.0, 1.0, **opts)
+        total += quad(h0, 0.0, 1.0, **opts)[0]
     else:
-        total += _quad_complex(h, 0.0, 1.0, **opts)
+        total += quad(h, 0.0, 1.0, **opts)[0]
 
     body_hi = min(max(30.0, peak + 40.0), 120.0)
     pts = [peak] if 1.0 < peak < body_hi else None
-    total += _quad_complex(h, 1.0, body_hi, points=pts, **opts)
-    total += _quad_complex(h, body_hi, np.inf, **opts)
+    total += quad(h, 1.0, body_hi, points=pts, **opts)[0]
+    total += quad(h, body_hi, np.inf, **opts)[0]
     return -total / (2j * math.pi)
 
 

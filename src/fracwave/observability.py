@@ -2,7 +2,9 @@
 
 The map (a, b) -> u restricted to omega x sample-times is linear in the data,
 so it has a matrix representation: the forward solution of the block of 2N
-unit sources, restricted to omega x sample-times.
+unit sources, restricted to omega x sample-times.  The setup carries the
+solver route as the object that selects it in :func:`fracwave.solver.solve`
+(a TimeGrid, a LaplaceContour or RieszData), so the map is one call to it.
 Its singular spectrum quantifies, at desk scale, whether observing the
 solution on an arbitrary subdomain determines the data pair: trivial kernel
 (sigma_min > 0, numerical rank 2N) is the finite-dimensional shadow of the
@@ -27,17 +29,10 @@ import numpy as np
 import scipy.linalg
 
 from .elliptic import as_matrix
-from .errors import ConfigError, ContourError, NumericsError
+from .errors import ContourError, NumericsError
 from .fraccalc import TimeGrid
-from .solver import (
-    LaplaceContour,
-    SourcePair,
-    solve_resolvent,
-    solve_spectral_oracle,
-    solve_timestep,
-    states_at,
-)
-from .spectral import RieszData, compute_riesz_data, eigendecompose
+from .solver import LaplaceContour, SourcePair, solve
+from .spectral import RieszData
 
 __all__ = [
     "ObservationSetup",
@@ -71,12 +66,16 @@ TIKHONOV_SCALE_DEFAULT = 1e-6
 
 @dataclass
 class ObservationSetup:
-    """Where and when the solution is observed, and which solver produces it."""
+    """Where and when the solution is observed, and the route that solves it.
+
+    ``method`` is passed to :func:`fracwave.solver.solve`: RieszData for the
+    mode sum, a LaplaceContour for Talbot inversion, or a TimeGrid whose
+    nodes include the sample times for time stepping.
+    """
 
     omega_indices: np.ndarray
     sample_times: np.ndarray
-    route: str = "spectral"
-    route_params: dict = field(default_factory=dict)
+    method: TimeGrid | LaplaceContour | RieszData
 
     def __post_init__(self):
         self.omega_indices = np.asarray(self.omega_indices, dtype=int)
@@ -87,8 +86,6 @@ class ObservationSetup:
             raise ValueError("no sample times")
         if np.any(self.sample_times <= 0.0) or np.any(np.diff(self.sample_times) <= 0.0):
             raise ValueError("sample times must be strictly increasing and positive")
-        if self.route not in ("spectral", "resolvent", "timestep"):
-            raise ValueError(f"unknown solver route {self.route!r}")
 
 
 @dataclass
@@ -112,54 +109,14 @@ class ObservationMap:
         return self.matrix.shape
 
 
-def _solve_route(A, source: SourcePair, alpha: float, setup: ObservationSetup, shared):
-    """States (times, N, m) of a block of m sources at the sample times."""
-    times = setup.sample_times
-    if setup.route == "spectral":
-        return solve_spectral_oracle(shared, source, alpha, times).states
-    if setup.route == "resolvent":
-        return solve_resolvent(A, source, alpha, times, contour=shared).states
-    # one column at a time: a block trajectory would hold K+1 states per column
-    columns = [
-        states_at(solve_timestep(A, SourcePair(a, b), alpha, shared), times)
-        for a, b in zip(source.a.T, source.b.T)
-    ]
-    return np.stack(columns, axis=-1)
-
-
-def _route_shared_state(A, alpha: float, setup: ObservationSetup):
-    params = setup.route_params
-    T = float(setup.sample_times[-1])
-    K = int(params.get("K", 1024))
-    try:
-        if setup.route == "spectral":
-            riesz = params.get("riesz")
-            if riesz is None:
-                eigsys = eigendecompose(A, params.get("cluster_tol"))
-                riesz = compute_riesz_data(A, eigsys, params.get("contour_nodes", 64))
-            return riesz
-        if setup.route == "resolvent":
-            return LaplaceContour(nodes=params.get("contour_nodes", 48))
-        grid = TimeGrid(T, K)
-    except ValueError as exc:
-        raise ConfigError(f"{setup.route} route parameters: {exc}") from exc
-    k = np.rint(setup.sample_times / grid.dt)
-    if np.any(np.abs(k * grid.dt - setup.sample_times) > 1e-9 * max(1.0, T)):
-        raise ConfigError(
-            f"the time-stepping route needs sample times on its grid k * t_max / K "
-            f"(t_max = {T:g}, K = {K}); uniform:M times with timestep_K a multiple "
-            f"of M satisfy this"
-        )
-    return grid
-
-
 def build_observation_map(A, alpha: float, setup: ObservationSetup) -> ObservationMap:
     """Assemble the (|omega| * |times|) x 2N observation matrix and its SVD.
 
     Column j is the forward solution of the j-th unit source (a-basis first,
     then b-basis) restricted to omega x sample-times; linearity of the
     evolution in (a, b) justifies the matrix representation.  All 2N unit
-    sources go to the setup's route as one block, SourcePair([I 0], [0 I]).
+    sources go to :func:`fracwave.solver.solve` with the setup's method as one
+    block, SourcePair([I 0], [0 I]).
     """
     mat = as_matrix(A)
     n = mat.shape[0]
@@ -167,11 +124,10 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
     if np.any(omega < 0) or np.any(omega >= n):
         raise ValueError("omega indices outside the operator's index range")
     rows = setup.sample_times.size * omega.size
-    shared = _route_shared_state(A, alpha, setup)
     eye, zero = np.eye(n), np.zeros((n, n))
     units = SourcePair(np.hstack([eye, zero]), np.hstack([zero, eye]))
-    states = _solve_route(A, units, alpha, setup, shared)
-    M = states[:, omega, :].reshape(rows, 2 * n)
+    sol = solve(A, units, alpha, setup.sample_times, setup.method)
+    M = sol.states[:, omega, :].reshape(rows, 2 * n)
 
     u, s, vt = scipy.linalg.svd(M, full_matrices=False)
     return ObservationMap(
@@ -183,7 +139,7 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
         svd_vt=vt,
         params={
             "alpha": alpha,
-            "route": setup.route,
+            "route": sol.route,
             "row_order": "time-major (row = time_index * |omega| + omega_position)",
             "column_order": "a-basis columns 0..N-1, then b-basis columns N..2N-1",
         },

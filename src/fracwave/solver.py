@@ -16,8 +16,12 @@ each other; their agreement is the package's core correctness instrument.
   decomposition; valid only for diagonalizable clusters and refuses
   defective input.
 
-The last two routes take one source or a block of sources (see
-:class:`SourcePair`) and return states shaped ``(times, *a.shape)``.
+:func:`solve` is the one entry point that samples a solution at given times:
+the type of its ``method`` selects the route (:class:`TimeGrid` time
+stepping, :class:`LaplaceContour` Talbot inversion, :class:`RieszData` mode
+sum).  It takes one source or a block of sources (see :class:`SourcePair`)
+and returns :class:`SolutionSamples` with states shaped ``(times, *a.shape)``.
+``solve_timestep`` itself returns the whole trajectory of one source.
 
 The principal branch of p^alpha is used throughout, matching the branch
 structure the resolvent representation relies on.
@@ -48,7 +52,7 @@ __all__ = [
     "LaplaceIdentitySample",
     "growth_probe",
     "GrowthFit",
-    "states_at",
+    "solve",
     "route_difference",
 ]
 
@@ -90,7 +94,8 @@ class SourcePair:
     Each is a vector (N,) or a block (N, m) whose m columns are m sources;
     ``solve_resolvent`` and ``solve_spectral_oracle`` solve a block at once.
     ``solve_timestep`` takes one source: it keeps the whole trajectory, K+1
-    states per column, so a block would multiply that memory by m.
+    states per column, so :func:`solve` marches a block's columns one at a
+    time and keeps only their sampled states.
     """
 
     a: np.ndarray
@@ -131,7 +136,7 @@ class SolutionField:
 
 @dataclass
 class SolutionSamples:
-    """States at selected positive times (resolvent / spectral routes)."""
+    """States at selected times, as every route of :func:`solve` returns them."""
 
     times: np.ndarray
     states: np.ndarray = field(repr=False)  # (len(times), N) or (len(times), N, m)
@@ -403,6 +408,49 @@ def solve_spectral_oracle(
 
 
 # ---------------------------------------------------------------------------
+# One entry point for the three routes
+# ---------------------------------------------------------------------------
+
+
+def solve(
+    A, source: SourcePair, alpha: float, times, method: TimeGrid | LaplaceContour | RieszData
+) -> SolutionSamples:
+    """States at the given times by the route the type of ``method`` selects.
+
+    :class:`RieszData` runs the mode sum, :class:`LaplaceContour` the Talbot
+    inversion and :class:`TimeGrid` time stepping on that grid.  Time stepping
+    checks that the times are grid nodes before the first step, then marches
+    the columns of a block one at a time and keeps only their sampled states.
+    States are shaped (times, *source.a.shape).
+    """
+    if isinstance(method, RieszData):
+        return solve_spectral_oracle(method, source, alpha, times)
+    if isinstance(method, LaplaceContour):
+        return solve_resolvent(A, source, alpha, times, contour=method)
+    if not isinstance(method, TimeGrid):
+        raise TypeError(
+            f"unknown solver route {method!r}: pass a TimeGrid, a LaplaceContour or RieszData"
+        )
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    k = np.rint(times / method.dt).astype(int)
+    tol = 1e-9 * max(1.0, method.T)
+    off = (k < 0) | (k > method.K) | (np.abs(k * method.dt - times) > tol)
+    if np.any(off):
+        raise ValueError(
+            f"times {times[off].tolist()} are not nodes k * T / K of the time-stepping "
+            f"grid (T = {method.T:g}, K = {method.K})"
+        )
+    a = source.a.reshape(source.size, -1)
+    b = source.b.reshape(source.size, -1)
+    columns = []
+    for j in range(a.shape[1]):
+        u = solve_timestep(A, SourcePair(a[:, j], b[:, j]), alpha, method)
+        columns.append(u.states[k])  # the trajectory is dropped once sampled
+    states = np.stack(columns, axis=-1).reshape(len(times), *source.a.shape)
+    return SolutionSamples(times, states, alpha=alpha, route="timestep", params=u.params)
+
+
+# ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
 
@@ -486,34 +534,12 @@ def growth_probe(u: SolutionField) -> GrowthFit:
     return GrowthFit(math.exp(intercept + excess), float(slope), excess)
 
 
-def states_at(u: SolutionField | SolutionSamples, times) -> np.ndarray:
-    """Extract states at the requested times (must match stored samples/nodes)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if isinstance(u, SolutionField):
-        k = np.rint(times / u.grid.dt).astype(int)
-        tol = 1e-9 * max(1.0, u.grid.T)
-        off = (k < 0) | (k > u.grid.K) | (np.abs(k * u.grid.dt - times) > tol)
-        if np.any(off):
-            raise ValueError(
-                f"times {times[off].tolist()} are not nodes of the trajectory grid on "
-                f"[0, {u.grid.T:g}]"
-            )
-        return u.states[k]
-    idx = []
-    for tv in times:
-        j = int(np.argmin(np.abs(u.times - tv)))
-        if abs(u.times[j] - tv) > 1e-12 * max(1.0, tv):
-            raise ValueError(f"time {tv} was not sampled by the {u.route} route")
-        idx.append(j)
-    return u.states[idx]
-
-
-def route_difference(u1, u2, times) -> np.ndarray:
-    """Relative l2 distance between two routes at the given times."""
-    s1 = states_at(u1, times)
-    s2 = states_at(u2, times)
-    out = np.empty(len(s1))
-    for i, (x, y) in enumerate(zip(s1, s2)):
+def route_difference(u1: SolutionSamples, u2: SolutionSamples) -> np.ndarray:
+    """Relative l2 distance between two routes at each of their sample times."""
+    if not np.array_equal(u1.times, u2.times):
+        raise ValueError(f"the {u1.route} and {u2.route} routes were sampled at different times")
+    out = np.empty(len(u1.times))
+    for i, (x, y) in enumerate(zip(u1.states, u2.states)):
         scale = max(np.linalg.norm(x), np.linalg.norm(y), 1e-300)
         out[i] = np.linalg.norm(x - y) / scale
     return out

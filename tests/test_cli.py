@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fracwave.solver
 from fracwave.cli import main
 from fracwave.fraccalc import mittag_leffler
 
@@ -230,28 +231,49 @@ class TestConfigErrors:
     BASE = "[problem]\ninterior = 8\nb1 = 1\n"
 
     @pytest.mark.parametrize(
-        "command,extra",
+        "command,extra,field",
         [
-            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 0.3\n"),
-            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 2.0\n"),
-            ("observability", "\n[observation]\nomega = 0 1\ntimes = 0.5 0.2\n"),
-            ("simulate", "\n[solver]\nroutes = resolvent\ntalbot_nodes = 3\n"),
-            ("simulate", "K = 1\n"),
-            ("spectrum", "\n[spectral]\ncontour_nodes = 0\n"),
+            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 0.3\n", "[solver] times"),
+            ("simulate", "\n[solver]\nroutes = timestep\ntimes = 2.0\n", "[solver] times"),
+            ("simulate", "\n[solver]\nroutes = resolvent\ntimes = 0 0.5\n", "[solver] times"),
+            ("simulate", "\n[solver]\nroutes = spectral\ntimes = -0.25 0.5\n", "[solver] times"),
+            (
+                "observability",
+                "\n[observation]\nomega = 0 1\ntimes = 0.5 0.2\n",
+                "[observation]",
+            ),
+            (
+                "simulate",
+                "\n[solver]\nroutes = resolvent\ntalbot_nodes = 3\n",
+                "[solver] talbot_nodes",
+            ),
+            ("simulate", "K = 1\n", "[problem] T, K"),
+            ("spectrum", "\n[spectral]\ncontour_nodes = 0\n", "[spectral] contour_nodes"),
         ],
         ids=[
             "off-grid-time",
             "time-past-T",
+            "resolvent-time-zero",
+            "spectral-negative-time",
             "decreasing-observation-times",
             "odd-talbot-nodes",
             "one-time-step",
             "no-contour-nodes",
         ],
     )
-    def test_exits_1_with_config_error(self, tmp_path, capsys, command, extra):
+    def test_exits_1_with_config_error(self, tmp_path, capsys, command, extra, field):
         cfg = write(tmp_path, self.BASE + extra)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "config error:" in capsys.readouterr().err
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_grid_check_runs_before_stepping(self, tmp_path, capsys, monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("time stepping ran before the grid check")
+
+        monkeypatch.setattr(fracwave.solver, "solve_timestep", no_stepping)
+        cfg = write(tmp_path, self.BASE + "\n[solver]\nroutes = timestep\ntimes = 2.0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [solver] times" in capsys.readouterr().err
 
     def test_values_unused_by_the_routes_stay_accepted(self, tmp_path):
         text = self.BASE + "K = 1\n\n[solver]\nroutes = spectral\ntalbot_nodes = 3\n"

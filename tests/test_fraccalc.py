@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -18,25 +17,11 @@ from fracwave.fraccalc import (
     second_differences,
     write_timeseries_csv,
 )
+from ml_reference import LARGE_NEGATIVE, load_table, ml_reference
 
 
 def series(grid, fn):
     return TimeSeries(grid, fn(grid.nodes))
-
-
-def ml_reference(alpha, beta, z):
-    """Arbitrary-precision series sum; the exponent budget tracks the term hump."""
-    need = 50 + 2 * int(0.4343 * abs(z) ** (1.0 / alpha))
-    with mp.workdps(need):
-        am, bm, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpc(z)
-        total = mp.mpc(0)
-        hump = abs(z) ** (1.0 / alpha)
-        for k in range(6000):
-            term = zm**k / mp.gamma(am * k + bm)
-            total += term
-            if abs(term) < mp.mpf(10) ** (-need + 8) and k > 5 and k > hump:
-                break
-        return complex(total)
 
 
 class TestTimeGrid:
@@ -216,9 +201,18 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_large_negative_arguments(self, alpha, beta):
+        table = load_table()
         for q in (15.0, 50.0, 400.0, 4000.0):
-            ref = ml_reference(alpha, beta, -q)
+            ref = table[alpha, beta, -q]
             assert abs(mittag_leffler(alpha, beta, -q) - ref) < 1e-10
+
+    def test_reference_table_matches_live_values(self):
+        # the entries cheap enough to recompute; the rest cost about a minute
+        table = load_table()
+        assert set(table) == set(LARGE_NEGATIVE)
+        for alpha, beta, z in LARGE_NEGATIVE:
+            if abs(z) <= 50.0:
+                assert table[alpha, beta, z] == ml_reference(alpha, beta, z)
 
     def test_complex_ray(self):
         for mod in (12.0, 60.0):

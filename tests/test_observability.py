@@ -20,17 +20,16 @@ from fracwave.observability import (
     write_recovery_csv,
     write_singular_values_csv,
 )
-from fracwave.solver import (
-    LaplaceContour,
-    SourcePair,
-    solve_resolvent,
-    solve_spectral_oracle,
-    solve_timestep,
-    states_at,
-)
+from fracwave.solver import LaplaceContour, SourcePair, solve
 from fracwave.spectral import compute_riesz_data, eigendecompose
 
 ALPHA = 1.5
+
+
+@pytest.fixture
+def riesz():
+    """Riesz data of an operator: the method that selects the spectral route."""
+    return lambda op: compute_riesz_data(op, eigendecompose(op))
 
 
 def make_operator(n, advection=1.0):
@@ -47,13 +46,14 @@ def make_operator_2d():
 
 
 class TestBuildObservationMap:
-    def test_diagonal_closed_form(self):
+    def test_diagonal_closed_form(self, riesz):
         # diagonal operator, full observation, one time: the a-block is
         # diag(E_{a,1}(-lam t^a)) and the b-block diag(t E_{a,2}(-lam t^a))
         lams = np.array([1.0, 2.0, 3.0])
         t1 = 0.8
-        setup = ObservationSetup(np.arange(3), np.array([t1]), route="spectral")
-        M = build_observation_map(np.diag(lams), ALPHA, setup)
+        op = np.diag(lams)
+        setup = ObservationSetup(np.arange(3), np.array([t1]), riesz(op))
+        M = build_observation_map(op, ALPHA, setup)
         e1 = np.array([mittag_leffler(ALPHA, 1.0, -lam * t1**ALPHA).real for lam in lams])
         e2 = np.array(
             [t1 * mittag_leffler(ALPHA, 2.0, -lam * t1**ALPHA).real for lam in lams]
@@ -62,16 +62,16 @@ class TestBuildObservationMap:
         np.testing.assert_allclose(M.matrix[:, 3:], np.diag(e2), atol=1e-11)
         assert M.singular_values[-1] > 0
 
-    def test_a_block_approaches_identity_at_small_times(self):
+    def test_a_block_approaches_identity_at_small_times(self, riesz):
         mesh, op = make_operator(6)
         omega = np.arange(6)
-        setup = ObservationSetup(omega, np.array([1e-7]), route="spectral")
+        setup = ObservationSetup(omega, np.array([1e-7]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         np.testing.assert_allclose(M.matrix[:, :6], np.eye(6), atol=1e-4)
 
-    def test_rank_bounded_by_rows(self):
+    def test_rank_bounded_by_rows(self, riesz):
         _, op = make_operator(4)
-        setup = ObservationSetup([2], np.array([0.5]), route="spectral")
+        setup = ObservationSetup([2], np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         rep = injectivity_report(M)
         assert M.shape == (1, 8)
@@ -87,66 +87,61 @@ class TestBuildObservationMap:
         ],
         ids=["1d", "2d"],
     )
-    def test_routes_agree_on_map(self, mesh, op, box):
+    def test_routes_agree_on_map(self, mesh, op, box, riesz):
         omega = subdomain_indices(mesh, box)
         times = np.array([0.25, 0.5, 0.75, 1.0])
         maps = {}
-        for route, params in [
-            ("spectral", {}),
-            ("resolvent", {"contour_nodes": 48}),
-            ("timestep", {"K": 2048}),
+        for route, method in [
+            ("spectral", riesz(op)),
+            ("resolvent", LaplaceContour(48)),
+            ("timestep", TimeGrid(1.0, 2048)),
         ]:
-            setup = ObservationSetup(omega, times, route=route, route_params=params)
+            setup = ObservationSetup(omega, times, method)
             maps[route] = build_observation_map(op, ALPHA, setup).matrix
         assert np.max(np.abs(maps["spectral"] - maps["resolvent"])) < 1e-8
         assert np.max(np.abs(maps["spectral"] - maps["timestep"])) < 1e-3
 
     @pytest.mark.parametrize("route", ["spectral", "resolvent", "timestep"])
-    def test_linearity_against_direct_solve(self, route):
+    def test_linearity_against_direct_solve(self, route, riesz):
         mesh, op = make_operator(8)
         omega = subdomain_indices(mesh, (0.0, 0.5))
         times = np.array([0.2, 0.6, 1.0])
-        setup = ObservationSetup(omega, times, route=route, route_params={"K": 1000})
-        M = build_observation_map(op, ALPHA, setup)
+        method = {
+            "spectral": riesz(op),
+            "resolvent": LaplaceContour(48),
+            "timestep": TimeGrid(1.0, 1000),
+        }[route]
+        M = build_observation_map(op, ALPHA, ObservationSetup(omega, times, method))
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), x * (1 - x))
-        if route == "spectral":
-            riesz = compute_riesz_data(op, eigendecompose(op))
-            states = solve_spectral_oracle(riesz, src, ALPHA, times).states
-        elif route == "resolvent":
-            states = solve_resolvent(op, src, ALPHA, times, contour=LaplaceContour(48)).states
-        else:
-            states = states_at(solve_timestep(op, src, ALPHA, TimeGrid(1.0, 1000)), times)
-        direct = states[:, omega].reshape(-1)
+        direct = solve(op, src, ALPHA, times, method).states[:, omega].reshape(-1)
         via_map = M.matrix @ np.concatenate([src.a, src.b])
         assert np.max(np.abs(direct - via_map)) < 1e-8
 
-    def test_omega_out_of_range(self):
+    def test_omega_out_of_range(self, riesz):
         _, op = make_operator(4)
-        setup = ObservationSetup([7], np.array([0.5]), route="spectral")
+        setup = ObservationSetup([7], np.array([0.5]), riesz(op))
         with pytest.raises(ValueError):
             build_observation_map(op, ALPHA, setup)
 
     def test_setup_validation(self):
         with pytest.raises(ValueError):
-            ObservationSetup([], np.array([0.5]))
+            ObservationSetup([], np.array([0.5]), LaplaceContour())
         with pytest.raises(ValueError):
-            ObservationSetup([0], np.array([0.5, 0.5]))  # not strictly increasing
-        with pytest.raises(ValueError):
-            ObservationSetup([0], np.array([0.5]), route="magic")
+            ObservationSetup([0], np.array([0.5, 0.5]), LaplaceContour())  # not increasing
 
 
 class TestInjectivity:
-    def test_full_rank_small_problem(self):
+    def test_full_rank_small_problem(self, riesz):
         mesh, op = make_operator(6)
         setup = ObservationSetup(
-            np.arange(6), np.geomspace(1e-2, 1.0, 16), route="spectral"
+            np.arange(6), np.geomspace(1e-2, 1.0, 16), riesz(op)
         )
         rep = injectivity_report(build_observation_map(op, ALPHA, setup))
         assert rep.numerical_rank == 12 and rep.injective
         assert rep.sigma_min > 0 and rep.condition < 1e12
 
-    def test_quarter_domain_rank_2n_through_n20(self):
+    def test_quarter_domain_rank_2n_through_n20(self, riesz):
         # double precision resolves full rank up to N ~ 20 and provably cannot
         # beyond: the singular values of the observation family decay
         # geometrically (analytic one-parameter kernel)
@@ -154,19 +149,19 @@ class TestInjectivity:
             mesh, op = make_operator(n)
             omega = subdomain_indices(mesh, (0.0, 0.25))
             setup = ObservationSetup(
-                omega, np.geomspace(1e-3, 1.0, max(32, 2 * n)), route="spectral"
+                omega, np.geomspace(1e-3, 1.0, max(32, 2 * n)), riesz(op)
             )
             rep = injectivity_report(build_observation_map(op, ALPHA, setup))
             assert rep.numerical_rank == 2 * n, f"N={n}"
 
-    def test_duplicated_rows_leave_rank_unchanged(self):
+    def test_duplicated_rows_leave_rank_unchanged(self, riesz):
         mesh, op = make_operator(6)
-        setup = ObservationSetup(np.arange(6), np.geomspace(0.1, 1.0, 4), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.geomspace(0.1, 1.0, 4), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         doubled = np.vstack([M.matrix, M.matrix])
         assert np.linalg.matrix_rank(doubled) == np.linalg.matrix_rank(M.matrix)
 
-    def test_monotonicity_in_rows(self):
+    def test_monotonicity_in_rows(self, riesz):
         # sigma_min never decreases when sample times or omega nodes are added
         # (configurations sized so every map has at least 2N rows)
         mesh, op = make_operator(6)
@@ -174,9 +169,10 @@ class TestInjectivity:
         omega_big = np.arange(6)
         times_few = np.array([0.2, 0.4, 0.6, 0.8])
         times_many = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        method = riesz(op)
 
         def smin(omega, times):
-            setup = ObservationSetup(omega, times, route="spectral")
+            setup = ObservationSetup(omega, times, method)
             return injectivity_report(build_observation_map(op, ALPHA, setup)).sigma_min
 
         assert smin(omega_small, times_many) >= smin(omega_small, times_few) - 1e-12
@@ -224,19 +220,17 @@ class TestResolventVanishing:
 
 
 class TestProjectionCascade:
-    def test_generic_operator_vacuous(self):
+    def test_generic_operator_vacuous(self, riesz):
         mesh, op = make_operator(8)
         omega = subdomain_indices(mesh, (0.0, 0.5))
-        riesz = compute_riesz_data(op, eigendecompose(op))
-        report = projection_cascade_check(op, riesz, None, omega)
+        report = projection_cascade_check(op, riesz(op), None, omega)
         assert report.vacuous
         assert "no kernel vector" in report.note
         assert report.kernel_sigma_min > 0
 
-    def test_zero_vector_all_quiet(self):
+    def test_zero_vector_all_quiet(self, riesz):
         _, op = make_operator(6)
-        riesz = compute_riesz_data(op, eigendecompose(op))
-        report = projection_cascade_check(op, riesz, np.zeros(6), [0, 1])
+        report = projection_cascade_check(op, riesz(op), np.zeros(6), [0, 1])
         assert not report.vacuous
         assert all(c.projection_norm < 1e-14 for c in report.clusters)
         assert not report.any_uc_violation
@@ -304,12 +298,12 @@ class TestBranchProbe:
 
 
 class TestInversion:
-    def test_noiseless_full_domain_recovery(self):
+    def test_noiseless_full_domain_recovery(self, riesz):
         mesh, op = make_operator(32)
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), x * (1 - x))
         setup = ObservationSetup(
-            np.arange(32), np.geomspace(1e-3, 1.0, 8), route="spectral"
+            np.arange(32), np.geomspace(1e-3, 1.0, 8), riesz(op)
         )
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src)
@@ -318,20 +312,20 @@ class TestInversion:
         got = np.concatenate([result.a_hat, result.b_hat])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 1e-6
 
-    def test_zero_data_gives_zero_minimizer(self):
+    def test_zero_data_gives_zero_minimizer(self, riesz):
         mesh, op = make_operator(6)
-        setup = ObservationSetup(np.arange(6), np.array([0.5, 1.0]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5, 1.0]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         result = invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), observation_map=M)
         assert np.all(result.a_hat == 0.0) and np.all(result.b_hat == 0.0)
 
-    def test_one_percent_noise_quarter_domain(self):
+    def test_one_percent_noise_quarter_domain(self, riesz):
         # fixed-seed experiment; achieved value at build time: 0.125
         mesh, op = make_operator(32)
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), x * (1 - x))
         omega = subdomain_indices(mesh, (0.0, 0.25))
-        setup = ObservationSetup(omega, np.geomspace(3e-3, 2.0, 16), route="spectral")
+        setup = ObservationSetup(omega, np.geomspace(3e-3, 2.0, 16), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src, noise=1e-2, seed=77)
         result = invert_source(op, ALPHA, setup, data, reg_scale=3e-4, observation_map=M)
@@ -339,11 +333,11 @@ class TestInversion:
         got = np.concatenate([result.a_hat, result.b_hat])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 0.15
 
-    def test_tsvd_route(self):
+    def test_tsvd_route(self, riesz):
         mesh, op = make_operator(8)
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), np.zeros(8))
-        setup = ObservationSetup(np.arange(8), np.geomspace(1e-2, 1.0, 8), route="spectral")
+        setup = ObservationSetup(np.arange(8), np.geomspace(1e-2, 1.0, 8), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src)
         result = invert_source(
@@ -354,33 +348,33 @@ class TestInversion:
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 1e-6
         assert result.params["method"] == "tsvd"
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, riesz):
         mesh, op = make_operator(6)
-        setup = ObservationSetup(np.arange(6), np.array([0.5]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         with pytest.raises(ValueError):
             invert_source(op, ALPHA, setup, np.zeros(5), observation_map=M)
 
-    def test_zero_map_rejected(self):
+    def test_zero_map_rejected(self, riesz):
         mesh, op = make_operator(6)
-        setup = ObservationSetup(np.arange(6), np.array([0.5]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         M.matrix = np.zeros_like(M.matrix)
         M.singular_values = np.zeros_like(M.singular_values)
         with pytest.raises(NumericsError):
             invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), observation_map=M)
 
-    def test_noise_without_seed_rejected(self):
+    def test_noise_without_seed_rejected(self, riesz):
         mesh, op = make_operator(6)
         src = SourcePair(np.ones(6), np.zeros(6))
-        setup = ObservationSetup(np.arange(6), np.array([0.5]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         with pytest.raises(ValueError):
             synthesize_observations(M, src, noise=0.01)
 
-    def test_unknown_method(self):
+    def test_unknown_method(self, riesz):
         mesh, op = make_operator(6)
-        setup = ObservationSetup(np.arange(6), np.array([0.5]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         with pytest.raises(ValueError):
             invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), method="magic",
@@ -388,11 +382,11 @@ class TestInversion:
 
 
 class TestExports:
-    def test_singular_values_and_recovery_csv(self, tmp_path):
+    def test_singular_values_and_recovery_csv(self, tmp_path, riesz):
         mesh, op = make_operator(6)
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), np.zeros(6))
-        setup = ObservationSetup(np.arange(6), np.array([0.5, 1.0]), route="spectral")
+        setup = ObservationSetup(np.arange(6), np.array([0.5, 1.0]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         sv = tmp_path / "sv.csv"
         mf = tmp_path / "map.json"

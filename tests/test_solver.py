@@ -15,10 +15,10 @@ from fracwave.solver import (
     growth_probe,
     laplace_identity_check,
     route_difference,
+    solve,
     solve_resolvent,
     solve_spectral_oracle,
     solve_timestep,
-    states_at,
 )
 from fracwave.spectral import compute_riesz_data, eigendecompose
 
@@ -190,25 +190,45 @@ class TestCrossRoute:
     def test_three_routes_agree(self, reference):
         op, src, riesz = reference
         times = [0.25, 0.5, 1.0]
-        u_step = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 1024))
-        u_res = solve_resolvent(op, src, ALPHA, times)
-        u_spec = solve_spectral_oracle(riesz, src, ALPHA, times)
-        assert route_difference(u_step, u_res, times).max() < 1e-3
-        assert route_difference(u_step, u_spec, times).max() < 1e-3
-        assert route_difference(u_res, u_spec, times).max() < 1e-6
+        u_step, u_res, u_spec = (
+            solve(op, src, ALPHA, times, method)
+            for method in (TimeGrid(1.0, 1024), LaplaceContour(), riesz)
+        )
+        assert [u.route for u in (u_step, u_res, u_spec)] == ["timestep", "resolvent", "spectral"]
+        assert route_difference(u_step, u_res).max() < 1e-3
+        assert route_difference(u_step, u_spec).max() < 1e-3
+        assert route_difference(u_res, u_spec).max() < 1e-6
+
+    def test_timestep_samples_are_trajectory_nodes(self, reference):
+        op, src, _ = reference
+        grid = TimeGrid(1.0, 128)
+        u = solve(op, src, ALPHA, [0.25, 0.5, 1.0], grid)
+        trajectory = solve_timestep(op, src, ALPHA, grid).states
+        np.testing.assert_array_equal(u.states, trajectory[[32, 64, 128]])
 
     def test_states_at_rejects_off_grid_times(self, reference):
         op, src, _ = reference
-        u = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 128))
-        with pytest.raises(ValueError):
-            states_at(u, [0.3])
+        with pytest.raises(ValueError, match="not nodes"):
+            solve(op, src, ALPHA, [0.3], TimeGrid(1.0, 128))
 
     @pytest.mark.parametrize("t", [2.0, -0.5])
     def test_states_at_rejects_times_outside_horizon(self, reference, t):
         op, src, _ = reference
-        u = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 128))
         with pytest.raises(ValueError, match="not nodes"):
-            states_at(u, [0.5, t])
+            solve(op, src, ALPHA, [0.5, t], TimeGrid(1.0, 128))
+
+    def test_unknown_method_rejected(self, reference):
+        op, src, _ = reference
+        with pytest.raises(TypeError, match="unknown solver route"):
+            solve(op, src, ALPHA, [0.5], "magic")
+
+    def test_route_difference_needs_common_times(self, reference):
+        op, src, _ = reference
+        u1 = solve(op, src, ALPHA, [0.5, 1.0], LaplaceContour())
+        u2 = solve(op, src, ALPHA, [0.25, 1.0], LaplaceContour())
+        np.testing.assert_array_equal(route_difference(u1, u1), 0.0)
+        with pytest.raises(ValueError, match="different times"):
+            route_difference(u1, u2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,21 +243,23 @@ class TestSourceBlocks:
     @given(
         n=st.integers(2, 6),
         m=st.integers(1, 4),
-        route=st.sampled_from(["resolvent", "spectral"]),
+        route=st.sampled_from(["resolvent", "spectral", "timestep"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_block_equals_stacked_columns(self, n, m, route, seed):
         op, riesz = advection_problem(n)
         times = [0.1, 0.5, 1.0]
-        if route == "resolvent":
-            solve = lambda src: solve_resolvent(op, src, ALPHA, times)
-        else:
-            solve = lambda src: solve_spectral_oracle(riesz, src, ALPHA, times)
+        methods = {"resolvent": LaplaceContour(), "spectral": riesz, "timestep": TimeGrid(1.0, 20)}
+        method = methods[route]
         rng = np.random.default_rng(seed)
         block = SourcePair(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
-        got = solve(block)
+        got = solve(op, block, ALPHA, times, method)
         want = np.stack(
-            [solve(SourcePair(a, b)).states for a, b in zip(block.a.T, block.b.T)], axis=-1
+            [
+                solve(op, SourcePair(a, b), ALPHA, times, method).states
+                for a, b in zip(block.a.T, block.b.T)
+            ],
+            axis=-1,
         )
         assert got.states.shape == (len(times), n, m)
         tol = 1e-13
