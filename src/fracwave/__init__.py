@@ -15,7 +15,6 @@ from .elliptic import (
     Mesh,
     assemble,
     check_ellipticity,
-    export_operator,
     subdomain_indices,
 )
 from .errors import (
@@ -28,13 +27,10 @@ from .errors import (
     NumericsError,
 )
 from .fraccalc import (
-    LaplaceValue,
     TimeGrid,
     TimeSeries,
     caputo_derivative,
-    laplace_numeric,
     mittag_leffler,
-    mittag_leffler_array,
     rl_integral,
 )
 from .observability import (

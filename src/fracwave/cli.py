@@ -189,19 +189,11 @@ def cmd_invert(cfg: ExperimentConfig, outdir: str) -> int:
     source = cfg.build_source(mesh)
     obsmap = _observation_map(cfg, op, mesh)
     inv = cfg.inversion
-    try:
-        data = synthesize_observations(obsmap, source, noise=inv.noise, seed=inv.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    data = _checked(
+        "[inversion] seed", synthesize_observations, obsmap, source, noise=inv.noise, seed=inv.seed
+    )
     result = invert_source(
-        op,
-        cfg.problem.alpha,
-        obsmap.setup,
-        data,
-        method=inv.method,
-        reg_scale=inv.reg_scale,
-        tsvd_rank=inv.tsvd_rank,
-        observation_map=obsmap,
+        obsmap, data, method=inv.method, reg_scale=inv.reg_scale, tsvd_rank=inv.tsvd_rank
     )
     rec_path = os.path.join(outdir, "recovery.csv")
     write_recovery_csv(source, result, rec_path)

@@ -122,12 +122,7 @@ class ExperimentConfig:
                 )
         except ExpressionError as exc:
             raise ConfigError(f"[problem] coefficient expression: {exc}") from exc
-        desc = f"a11={p.a11}"
-        if p.dimension == 2:
-            desc += f", a12={p.a12}, a22={p.a22}, b=({p.b1}, {p.b2}), c={p.c}"
-        else:
-            desc += f", b1={p.b1}, c={p.c}"
-        coeffs = CoefficientField.from_callables(mesh, description=desc, **kw)
+        coeffs = CoefficientField.from_callables(mesh, **kw)
         return assemble(mesh, coeffs)
 
     def build_source(self, mesh: Mesh | None = None) -> SourcePair:

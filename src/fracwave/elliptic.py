@@ -13,7 +13,6 @@ the assembled matrix is the (positive) Dirichlet Laplacian-type operator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "assemble",
     "check_ellipticity",
     "subdomain_indices",
-    "export_operator",
     "as_matrix",
 ]
 
@@ -112,7 +110,6 @@ class CoefficientField:
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
     c: np.ndarray | None = None
-    description: str = "samples"
 
     def __post_init__(self):
         grids = _full_grids(self.mesh)
@@ -151,7 +148,6 @@ class CoefficientField:
         b1=0.0,
         b2=0.0,
         c=0.0,
-        description: str = "callables",
     ) -> "CoefficientField":
         """Sample scalar constants or callables fn(x) / fn(x, y) on the full grid."""
         grids = _full_grids(mesh)
@@ -160,11 +156,7 @@ class CoefficientField:
             kw.update(
                 a22=_sample(a22, grids), a12=_sample(a12, grids), b2=_sample(b2, grids)
             )
-        return cls(mesh, description=description, **kw)
-
-    def has_advection(self) -> bool:
-        vals = [self.b1] + ([self.b2] if self.b2 is not None else [])
-        return any(np.any(v != 0.0) for v in vals)
+        return cls(mesh, **kw)
 
 
 def check_ellipticity(coeffs: CoefficientField) -> float:
@@ -194,10 +186,6 @@ class DiscreteOperator:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match mesh size {n}"
             )
-
-    @property
-    def size(self) -> int:
-        return self.mesh.size
 
 
 def as_matrix(A) -> np.ndarray:
@@ -296,26 +284,3 @@ def subdomain_indices(mesh: Mesh, box) -> np.ndarray:
     if idx.size == 0:
         raise ValueError(f"sub-box {boxes} contains no interior node")
     return idx
-
-
-def export_operator(op: DiscreteOperator, basepath: str) -> tuple[str, str]:
-    """Write a JSON header and a (row, col, value) coordinate-list text file."""
-    header = {
-        "dimension": op.mesh.dimension,
-        "size": op.size,
-        "spacing": list(op.mesh.spacing),
-        "domain_lo": list(op.mesh.lo),
-        "domain_hi": list(op.mesh.hi),
-        "interior": list(op.mesh.interior),
-        "coefficients": op.coefficients.description,
-    }
-    json_path = f"{basepath}.json"
-    coo_path = f"{basepath}.coo"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(coo_path, "w", encoding="utf-8") as fh:
-        rows, cols = np.nonzero(op.matrix)
-        for r, c in zip(rows, cols):
-            fh.write(f"{r} {c} {op.matrix[r, c]:.17g}\n")
-    return json_path, coo_path

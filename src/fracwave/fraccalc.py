@@ -1,12 +1,11 @@
 """Discrete fractional calculus on uniform time grids.
 
 Provides the fractional integral of Riemann-Liouville type, the Caputo
-derivative for orders between 1 and 2, the two-parameter Mittag-Leffler
-function, and a truncated numerical Laplace transform.  The integral and
-derivative are discretized by product integration: the input is
-reconstructed piecewise-linearly and the weakly singular kernel is
-integrated exactly against that reconstruction, which keeps first-order
-accuracy near t = 0 where naive quadrature degrades.
+derivative for orders between 1 and 2, and the two-parameter Mittag-Leffler
+function.  The integral and derivative are discretized by product
+integration: the input is reconstructed piecewise-linearly and the weakly
+singular kernel is integrated exactly against that reconstruction, which
+keeps first-order accuracy near t = 0 where naive quadrature degrades.
 """
 
 from __future__ import annotations
@@ -24,19 +23,12 @@ from .errors import MittagLefflerError
 __all__ = [
     "TimeGrid",
     "TimeSeries",
-    "LaplaceValue",
     "rl_weights",
     "rl_integral",
     "caputo_derivative",
     "second_differences",
     "mittag_leffler",
-    "mittag_leffler_array",
-    "laplace_numeric",
-    "write_timeseries_csv",
-    "read_timeseries_csv",
 ]
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -330,81 +322,3 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
             f"large-argument path requires alpha <= 2, got alpha={alpha}"
         )
     return _ml_large(alpha, beta, z)
-
-
-def mittag_leffler_array(alpha: float, beta: float, zs) -> np.ndarray:
-    """Vectorized :func:`mittag_leffler` over an array of arguments."""
-    zs = np.asarray(zs, dtype=complex)
-    out = np.empty(zs.shape, dtype=complex)
-    flat = zs.ravel()
-    res = out.ravel()
-    for i, zv in enumerate(flat):
-        res[i] = mittag_leffler(alpha, beta, zv)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Numerical Laplace transform
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaplaceValue:
-    """Truncated Laplace transform sample with its truncation error bound."""
-
-    value: complex
-    truncation_bound: float
-
-
-def laplace_numeric(v: TimeSeries, p: complex) -> LaplaceValue:
-    """Trapezoid approximation of the transform integral over [0, T].
-
-    The integral over (T, infinity) is dropped; its magnitude is bounded by
-    exp(-Re(p) T) * sup|v| / Re(p) <= exp(-Re(p) T) * sup|v| for Re(p) >= 1,
-    and the conservative bound exp(-Re(p) T) * sup|v| is reported so callers
-    can judge whether the truncation matters.
-    """
-    p = complex(p)
-    if not p.real > 0.0:
-        raise ValueError(f"need Re(p) > 0 for a reliable truncated transform, got p={p}")
-    t = v.grid.nodes
-    f = np.exp(-p * t) * v.values
-    value = complex(np.trapezoid(f, dx=v.grid.dt))
-    sup = float(np.max(np.abs(v.values))) if len(v.values) else 0.0
-    bound = math.exp(-p.real * v.grid.T) * sup
-    return LaplaceValue(value, bound)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
-
-def write_timeseries_csv(ts: TimeSeries, path) -> None:
-    """Two-column CSV (t, value); complex series get value_re/value_im columns."""
-    t = ts.grid.nodes
-    with open(path, "w", encoding="utf-8") as fh:
-        if ts.is_complex:
-            fh.write("t,value_re,value_im\n")
-            for tk, vk in zip(t, ts.values):
-                fh.write(f"{tk:.17g},{vk.real:.17g},{vk.imag:.17g}\n")
-        else:
-            fh.write("t,value\n")
-            for tk, vk in zip(t, ts.values):
-                fh.write(f"{tk:.17g},{vk:.17g}\n")
-
-
-def read_timeseries_csv(path) -> TimeSeries:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    t = np.atleast_1d(data["t"])
-    if t.size < 3:
-        raise ValueError("time series CSV needs at least 3 rows")
-    grid = TimeGrid(T=float(t[-1]), K=t.size - 1)
-    if not np.allclose(grid.nodes, t, rtol=0, atol=1e-12 * max(1.0, t[-1])):
-        raise ValueError("CSV nodes are not a uniform grid starting at 0")
-    names = data.dtype.names
-    if "value_re" in names:
-        values = np.atleast_1d(data["value_re"]) + 1j * np.atleast_1d(data["value_im"])
-    else:
-        values = np.atleast_1d(data["value"])
-    return TimeSeries(grid, values)

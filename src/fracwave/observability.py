@@ -157,18 +157,14 @@ class InjectivityReport:
     rank_threshold: float
 
 
-def injectivity_report(obsmap: ObservationMap, rank_tol: float | None = None) -> InjectivityReport:
+def injectivity_report(obsmap: ObservationMap) -> InjectivityReport:
     """Numerical rank of the observation map against the full-rank expectation.
 
-    The default threshold is the LAPACK-style max(shape) * eps * sigma_1;
-    pass ``rank_tol`` (relative to sigma_1) to override.
+    The threshold is the LAPACK-style max(shape) * eps * sigma_1.
     """
     s = obsmap.singular_values
     smax = float(s[0]) if s.size else 0.0
-    if rank_tol is None:
-        thresh = max(obsmap.shape) * np.finfo(float).eps * smax
-    else:
-        thresh = rank_tol * smax
+    thresh = max(obsmap.shape) * np.finfo(float).eps * smax
     rank = int(np.sum(s > thresh))
     expected = 2 * obsmap.n_dof
     # fewer rows than columns: the column map has a genuine kernel
@@ -451,23 +447,19 @@ class InversionResult:
 
 
 def invert_source(
-    A,
-    alpha: float,
-    setup: ObservationSetup,
+    obsmap: ObservationMap,
     data: np.ndarray,
     method: str = "tikhonov",
     reg_scale: float = TIKHONOV_SCALE_DEFAULT,
     tsvd_rank: int | None = None,
-    observation_map: ObservationMap | None = None,
 ) -> InversionResult:
-    """Recover (a, b) from observed samples by regularized least squares.
+    """Recover (a, b) from samples observed through ``obsmap`` by regularized least squares.
 
     Tikhonov: x = argmin ||M x - data||^2 + lambda ||x||^2 with
     lambda = reg_scale * sigma_1^2, solved through the stored SVD.
     Truncated SVD: pseudo-inverse keeping ``tsvd_rank`` modes.  No automatic
     parameter selection: fixed, logged values keep experiments deterministic.
     """
-    obsmap = observation_map or build_observation_map(A, alpha, setup)
     data = np.asarray(data, dtype=float).reshape(-1)
     if data.shape[0] != obsmap.shape[0]:
         raise ValueError(

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _LOG_EPS = -math.log(np.finfo(float).eps)  # ~36.04
+# relative size of a cluster's nilpotent part above which the mode sum refuses it
+_NILPOTENT_TOL = 1e-8
 
 # measured stability boundary of the product-trapezoid step on the scalar
 # problem (bisection at K = 400): largest kappa0 * lambda with bounded
@@ -238,24 +240,21 @@ class LaplaceContour:
 
     ``nodes`` counts quadrature points on the full contour (even; conjugate
     symmetry halves the work).  The scale sigma = r/t is chosen per evaluation
-    time unless ``scale_r`` pins r explicitly: r balances three constraints in
-    double precision — enclosing the generalized spectrum
-    {p : -p^alpha in sigma(A)} (radius grows with r), roundoff amplification
-    e^r * eps of the dominant nodes, and quadrature resolution (r <= 0.4 M).
+    time: r balances three constraints in double precision — enclosing the
+    generalized spectrum {p : -p^alpha in sigma(A)} (radius grows with r),
+    roundoff amplification e^r * eps of the dominant nodes, and quadrature
+    resolution (r <= 0.4 M).
     The missed-pole error of a non-enclosing contour decays like
     e^(-psi |cot psi| r) with psi = pi/alpha, which fixes the balanced r.
     """
 
     nodes: int = 48
-    scale_r: float | None = None
 
     def __post_init__(self):
         if self.nodes < 4 or self.nodes % 2:
             raise ValueError(f"contour nodes must be even and >= 4, got {self.nodes}")
 
     def pick_r(self, alpha: float, t: float, rho_bound: float) -> float:
-        if self.scale_r is not None:
-            return self.scale_r
         psi = math.pi / alpha
         g = psi / math.sin(psi)  # crossing radius at the pole angle = sigma * g
         q = psi * abs(math.cos(psi)) / math.sin(psi)
@@ -355,12 +354,11 @@ def solve_spectral_oracle(
     source: SourcePair,
     alpha: float,
     times,
-    nilpotent_tol: float = 1e-8,
 ) -> SolutionSamples:
     """Mode-wise solution  u(t) = sum_n [ E_{a,1}(-l_n t^a) P_n a + t E_{a,2}(-l_n t^a) P_n b ].
 
     Valid only when every cluster is diagonalizable; a cluster with
-    ||D_n|| beyond ``nilpotent_tol`` (relative to max(1, |lambda_n|)) raises
+    ||D_n|| beyond 1e-8 (relative to max(1, |lambda_n|)) raises
     :class:`DefectiveClusterError` instead of returning a silently wrong
     answer.  Complex cluster eigenvalues are supported through the
     Mittag-Leffler function at complex argument.  States are shaped
@@ -369,7 +367,7 @@ def solve_spectral_oracle(
     _check_alpha(alpha)
     for lam, D in zip(riesz.eigenvalues, riesz.nilpotents):
         defect = scipy.linalg.norm(D, 2) / max(1.0, abs(lam))
-        if defect > nilpotent_tol:
+        if defect > _NILPOTENT_TOL:
             raise DefectiveClusterError(
                 f"cluster at {lam:.6g} has nilpotent part of relative size "
                 f"{defect:.3g}; the mode-sum oracle is invalid for defective clusters"
@@ -436,9 +434,11 @@ def solve(
     tol = 1e-9 * max(1.0, method.T)
     off = (k < 0) | (k > method.K) | (np.abs(k * method.dt - times) > tol)
     if np.any(off):
+        bad = times[off]
+        shown = ", ".join(f"{t:.3g}" for t in bad[:3]) + (", ..." if bad.size > 3 else "")
         raise ValueError(
-            f"times {times[off].tolist()} are not nodes k * T / K of the time-stepping "
-            f"grid (T = {method.T:g}, K = {method.K})"
+            f"times [{shown}] ({bad.size} of {times.size}) are not nodes k * T / K of "
+            f"the time-stepping grid (T = {method.T:g}, K = {method.K})"
         )
     a = source.a.reshape(source.size, -1)
     b = source.b.reshape(source.size, -1)

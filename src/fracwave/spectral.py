@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.csgraph
 
+from .elliptic import as_matrix
 from .errors import ContourError, NumericsError
 
 __all__ = [
@@ -92,8 +93,6 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     ``cluster_tol`` defaults to 1e-6 * ||A||_2, the natural size of eigenvalue
     perturbations of discretized non-normal operators.
     """
-    from .elliptic import as_matrix
-
     mat = as_matrix(A)
     n = mat.shape[0]
     if n < 1:
@@ -143,8 +142,6 @@ def riesz_projection(
     sides.  When ``eigenvalues`` is supplied, nodes too close to the spectrum
     raise :class:`ContourError` with the offending distance.
     """
-    from .elliptic import as_matrix
-
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A).astype(complex)
@@ -221,14 +218,14 @@ class IdentityReport:
     tol: float
 
     @property
+    def worst(self) -> float:
+        """Largest residual over all clusters and identities, completeness included."""
+        parts = (self.res_idempotent, self.res_nilpotent_form, self.res_commute, self.res_nilpotency)
+        return float(np.max(np.concatenate([*parts, [self.completeness]])))
+
+    @property
     def passed(self) -> bool:
-        worst = max(
-            self.res_idempotent.max(),
-            self.res_nilpotent_form.max(),
-            self.res_commute.max(),
-            self.res_nilpotency.max(),
-        )
-        return bool(worst <= self.tol and self.completeness <= self.tol)
+        return bool(self.worst <= self.tol)
 
 
 def _maxabs(M: np.ndarray) -> float:
@@ -237,8 +234,6 @@ def _maxabs(M: np.ndarray) -> float:
 
 def verify_identities(A, rd: RieszData, tol: float = 1e-8) -> IdentityReport:
     """Residuals of the four projection identities plus completeness."""
-    from .elliptic import as_matrix
-
     mat = as_matrix(A).astype(complex)
     nc = rd.n_clusters
     r_idem = np.empty(nc)
@@ -279,7 +274,6 @@ def lemma3_check(
     D: np.ndarray,
     phi: np.ndarray,
     tol: float = 1e-8,
-    d_n: int | None = None,
 ) -> Lemma3Result:
     """Minimal k0 with D^{k0} P phi ~ 0, and the residual ||(A - lam) D^{k0-1} P phi||.
 
@@ -287,15 +281,13 @@ def lemma3_check(
     tests that annihilation by D at stage k0 forces the previous stage into the
     eigenspace.  P phi ~ 0 is reported as the degenerate case k0 = 0.
     """
-    from .elliptic import as_matrix
-
     mat = as_matrix(A).astype(complex)
     phi = np.asarray(phi, dtype=complex)
     v = P @ phi
     scale = float(np.linalg.norm(v))
     if scale <= tol * max(1.0, float(np.linalg.norm(phi))):
         return Lemma3Result(0, 0.0, True, "P phi vanishes; cluster orthogonal to probe")
-    bound = d_n if d_n is not None else mat.shape[0]
+    bound = mat.shape[0]
     prev = v
     for k in range(1, bound + 1):
         cur = D @ prev

@@ -213,9 +213,10 @@ class TestInvert:
             rows = list(csv.DictReader(fh))
         assert all(float(r["a_hat"]) == 0.0 and float(r["b_hat"]) == 0.0 for r in rows)
 
-    def test_noise_without_seed_exits_1(self, tmp_path):
+    def test_noise_without_seed_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, self.CFG + "noise = 0.01\n")
         assert main(["invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [inversion] seed" in capsys.readouterr().err
 
     def test_seed_flag_and_determinism(self, tmp_path):
         cfg = write(tmp_path, self.CFG + "noise = 0.001\n")

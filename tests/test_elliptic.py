@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from fracwave.elliptic import (
     as_matrix,
     assemble,
     check_ellipticity,
-    export_operator,
     subdomain_indices,
 )
 from fracwave.errors import EllipticityError
@@ -261,19 +258,6 @@ class TestSubdomain:
 
 
 class TestExportAndHelpers:
-    def test_coordinate_list_export(self, tmp_path):
-        m = unit_interval(4)
-        op = assemble(m, CoefficientField.from_callables(m, description="a11=1"))
-        jpath, cpath = export_operator(op, str(tmp_path / "op"))
-        header = json.loads(open(jpath).read())
-        assert header["size"] == 4 and header["dimension"] == 1
-        assert header["coefficients"] == "a11=1"
-        rows = [line.split() for line in open(cpath).read().splitlines()]
-        rebuilt = np.zeros((4, 4))
-        for r, c, v in rows:
-            rebuilt[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(rebuilt, op.matrix)
-
     def test_as_matrix_accepts_scalars_and_operators(self):
         m = unit_interval(4)
         op = assemble(m, CoefficientField.from_callables(m))

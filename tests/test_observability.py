@@ -45,6 +45,15 @@ def make_operator_2d():
     return mesh, op
 
 
+def smooth_source(mesh):
+    # a = prod sin(pi (x - lo) / (hi - lo)), b = prod (x - lo) (hi - x) over the axes
+    a, b = np.ones(mesh.size), np.ones(mesh.size)
+    for x, lo, hi in zip(mesh.interior_coordinates(), mesh.lo, mesh.hi):
+        a *= np.sin(np.pi * (x - lo) / (hi - lo))
+        b *= (x - lo) * (hi - x)
+    return SourcePair(a, b)
+
+
 class TestBuildObservationMap:
     def test_diagonal_closed_form(self, riesz):
         # diagonal operator, full observation, one time: the a-block is
@@ -220,9 +229,16 @@ class TestResolventVanishing:
 
 
 class TestProjectionCascade:
-    def test_generic_operator_vacuous(self, riesz):
-        mesh, op = make_operator(8)
-        omega = subdomain_indices(mesh, (0.0, 0.5))
+    @pytest.mark.parametrize(
+        "mesh, op, box",
+        [
+            (*make_operator(8), (0.0, 0.5)),
+            (*make_operator_2d(), ((0.0, 0.5), (0.0, 0.7))),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_generic_operator_vacuous(self, mesh, op, box, riesz):
+        omega = subdomain_indices(mesh, box)
         report = projection_cascade_check(op, riesz(op), None, omega)
         assert report.vacuous
         assert "no kernel vector" in report.note
@@ -298,16 +314,13 @@ class TestBranchProbe:
 
 
 class TestInversion:
-    def test_noiseless_full_domain_recovery(self, riesz):
-        mesh, op = make_operator(32)
-        x = mesh.axis_nodes(0)
-        src = SourcePair(np.sin(np.pi * x), x * (1 - x))
-        setup = ObservationSetup(
-            np.arange(32), np.geomspace(1e-3, 1.0, 8), riesz(op)
-        )
+    @pytest.mark.parametrize("mesh, op", [make_operator(32), make_operator_2d()], ids=["1d", "2d"])
+    def test_noiseless_full_domain_recovery(self, mesh, op, riesz):
+        src = smooth_source(mesh)
+        setup = ObservationSetup(np.arange(mesh.size), np.geomspace(1e-3, 1.0, 8), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src)
-        result = invert_source(op, ALPHA, setup, data, reg_scale=1e-14, observation_map=M)
+        result = invert_source(M, data, reg_scale=1e-14)
         truth = np.concatenate([src.a, src.b])
         got = np.concatenate([result.a_hat, result.b_hat])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 1e-6
@@ -316,7 +329,7 @@ class TestInversion:
         mesh, op = make_operator(6)
         setup = ObservationSetup(np.arange(6), np.array([0.5, 1.0]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
-        result = invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), observation_map=M)
+        result = invert_source(M, np.zeros(M.shape[0]))
         assert np.all(result.a_hat == 0.0) and np.all(result.b_hat == 0.0)
 
     def test_one_percent_noise_quarter_domain(self, riesz):
@@ -328,7 +341,7 @@ class TestInversion:
         setup = ObservationSetup(omega, np.geomspace(3e-3, 2.0, 16), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src, noise=1e-2, seed=77)
-        result = invert_source(op, ALPHA, setup, data, reg_scale=3e-4, observation_map=M)
+        result = invert_source(M, data, reg_scale=3e-4)
         truth = np.concatenate([src.a, src.b])
         got = np.concatenate([result.a_hat, result.b_hat])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 0.15
@@ -340,9 +353,7 @@ class TestInversion:
         setup = ObservationSetup(np.arange(8), np.geomspace(1e-2, 1.0, 8), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         data = synthesize_observations(M, src)
-        result = invert_source(
-            op, ALPHA, setup, data, method="tsvd", tsvd_rank=16, observation_map=M
-        )
+        result = invert_source(M, data, method="tsvd", tsvd_rank=16)
         truth = np.concatenate([src.a, src.b])
         got = np.concatenate([result.a_hat, result.b_hat])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 1e-6
@@ -353,7 +364,7 @@ class TestInversion:
         setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         with pytest.raises(ValueError):
-            invert_source(op, ALPHA, setup, np.zeros(5), observation_map=M)
+            invert_source(M, np.zeros(5))
 
     def test_zero_map_rejected(self, riesz):
         mesh, op = make_operator(6)
@@ -362,7 +373,7 @@ class TestInversion:
         M.matrix = np.zeros_like(M.matrix)
         M.singular_values = np.zeros_like(M.singular_values)
         with pytest.raises(NumericsError):
-            invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), observation_map=M)
+            invert_source(M, np.zeros(M.shape[0]))
 
     def test_noise_without_seed_rejected(self, riesz):
         mesh, op = make_operator(6)
@@ -377,8 +388,7 @@ class TestInversion:
         setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
         with pytest.raises(ValueError):
-            invert_source(op, ALPHA, setup, np.zeros(M.shape[0]), method="magic",
-                          observation_map=M)
+            invert_source(M, np.zeros(M.shape[0]), method="magic")
 
 
 class TestExports:
@@ -400,7 +410,7 @@ class TestExports:
         assert manifest["rows"] == 12 and manifest["cols"] == 12
 
         data = synthesize_observations(M, src)
-        result = invert_source(op, ALPHA, setup, data, observation_map=M)
+        result = invert_source(M, data)
         rec = tmp_path / "rec.csv"
         write_recovery_csv(src, result, rec)
         rows = rec.read_text().splitlines()

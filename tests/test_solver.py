@@ -217,6 +217,15 @@ class TestCrossRoute:
         with pytest.raises(ValueError, match="not nodes"):
             solve(op, src, ALPHA, [0.5, t], TimeGrid(1.0, 128))
 
+    def test_off_grid_error_is_short(self, reference):
+        # 63 of 64 geometric times miss the grid; the message shows three and a count
+        op, src, _ = reference
+        with pytest.raises(ValueError, match="not nodes") as info:
+            solve(op, src, ALPHA, np.geomspace(1e-3, 1.0, 64), TimeGrid(1.0, 128))
+        message = str(info.value)
+        assert "(63 of 64)" in message and "..." in message
+        assert len(message) < 300
+
     def test_unknown_method_rejected(self, reference):
         op, src, _ = reference
         with pytest.raises(TypeError, match="unknown solver route"):
