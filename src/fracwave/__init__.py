@@ -48,7 +48,6 @@ from .observability import (
 from .solver import (
     GrowthFit,
     LaplaceContour,
-    SolutionField,
     SolutionSamples,
     SourcePair,
     growth_probe,

@@ -41,7 +41,6 @@ from .solver import (
     laplace_identity_check,
     route_difference,
     solve,
-    solve_timestep,
 )
 from .spectral import compute_riesz_data, eigendecompose, lemma3_check, verify_identities
 
@@ -183,7 +182,8 @@ def criterion_4_spectral_identities() -> CriterionResult:
 
 def criterion_5_laplace_identity() -> CriterionResult:
     ref = reference_problem()
-    u = solve_timestep(ref.operator, ref.source, ALPHA, TimeGrid(20.0, 2048))
+    grid = TimeGrid(20.0, 2048)
+    u = solve(ref.operator, ref.source, ALPHA, grid.nodes, grid)
     rows = laplace_identity_check(u, ref.source, ref.operator, ALPHA, [2.0, 3.0, 4.0])
     worst = max(r.residual for r in rows)
     ok = worst <= 1e-2 and all(r.conclusive for r in rows)
@@ -249,10 +249,11 @@ def criterion_8_branch_probe() -> CriterionResult:
 
 def criterion_9_growth_bound() -> CriterionResult:
     ref = reference_problem()
-    u = solve_timestep(ref.operator, ref.source, ALPHA, TimeGrid(5.0, 1024))
+    grid = TimeGrid(5.0, 1024)
+    u = solve(ref.operator, ref.source, ALPHA, grid.nodes, grid)
     fit = growth_probe(u)
     norms = np.linalg.norm(u.states, axis=1)
-    envelope = fit.C1 * np.exp(fit.C2 * u.grid.nodes)
+    envelope = fit.C1 * np.exp(fit.C2 * u.times)
     holds = bool(np.all(norms <= envelope * (1.0 + 1e-12)))
     ok = holds and fit.C2 <= 0.1
     return CriterionResult(

@@ -282,6 +282,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     i.reg_scale = _get(parser, "inversion", "reg_scale", float, i.reg_scale, errors)
     i.tsvd_rank = _get(parser, "inversion", "tsvd_rank", int, None, errors)
     i.noise = _get(parser, "inversion", "noise", float, i.noise, errors)
+    if not i.noise >= 0:
+        errors.append(f"[inversion] noise must be nonnegative, got {i.noise}")
+    if not i.reg_scale >= 0:  # 0 is the unregularized inverse
+        errors.append(f"[inversion] reg_scale must be nonnegative, got {i.reg_scale}")
+    if i.tsvd_rank is not None and i.tsvd_rank < 1:
+        errors.append(f"[inversion] tsvd_rank must be at least 1, got {i.tsvd_rank}")
     # noise > 0 without a seed is rejected at synthesis time, so the --seed
     # flag can still supply one
     i.seed = _get(parser, "inversion", "seed", int, None, errors)

@@ -16,12 +16,11 @@ each other; their agreement is the package's core correctness instrument.
   decomposition; valid only for diagonalizable clusters and refuses
   defective input.
 
-:func:`solve` is the one entry point that samples a solution at given times:
-the type of its ``method`` selects the route (:class:`TimeGrid` time
-stepping, :class:`LaplaceContour` Talbot inversion, :class:`RieszData` mode
-sum).  It takes one source or a block of sources (see :class:`SourcePair`)
+Each route takes one source or a block of sources (see :class:`SourcePair`)
 and returns :class:`SolutionSamples` with states shaped ``(times, *a.shape)``.
-``solve_timestep`` itself returns the whole trajectory of one source.
+:func:`solve` dispatches on the type of its ``method``: :class:`TimeGrid`
+time stepping, :class:`LaplaceContour` Talbot inversion, :class:`RieszData`
+mode sum.
 
 The principal branch of p^alpha is used throughout, matching the branch
 structure the resolvent representation relies on.
@@ -42,7 +41,6 @@ from .spectral import RieszData
 
 __all__ = [
     "SourcePair",
-    "SolutionField",
     "SolutionSamples",
     "LaplaceContour",
     "solve_timestep",
@@ -94,10 +92,8 @@ class SourcePair:
 
     Both live on interior nodes, so a vanishes on the boundary by construction.
     Each is a vector (N,) or a block (N, m) whose m columns are m sources;
-    ``solve_resolvent`` and ``solve_spectral_oracle`` solve a block at once.
-    ``solve_timestep`` takes one source: it keeps the whole trajectory, K+1
-    states per column, so :func:`solve` marches a block's columns one at a
-    time and keeps only their sampled states.
+    ``solve_resolvent`` and ``solve_spectral_oracle`` solve a block at once,
+    ``solve_timestep`` marches its columns one at a time.
     """
 
     a: np.ndarray
@@ -120,29 +116,11 @@ class SourcePair:
 
 
 @dataclass
-class SolutionField:
-    """Trajectory on a full time grid (time-stepping route)."""
-
-    grid: TimeGrid
-    states: np.ndarray = field(repr=False)  # (K+1, N)
-    alpha: float = 0.0
-    route: str = ""
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.states.shape[0] != len(self.grid):
-            raise ValueError("states must hold one vector per grid node")
-        if not np.all(np.isfinite(self.states)):
-            raise NumericsError("solution field contains non-finite states")
-
-
-@dataclass
 class SolutionSamples:
-    """States at selected times, as every route of :func:`solve` returns them."""
+    """States at selected times, as every route returns them."""
 
     times: np.ndarray
     states: np.ndarray = field(repr=False)  # (len(times), N) or (len(times), N, m)
-    alpha: float = 0.0
     route: str = ""
     params: dict = field(default_factory=dict)
 
@@ -162,8 +140,8 @@ def _check_alpha(alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def solve_timestep(A, source: SourcePair, alpha: float, grid: TimeGrid) -> SolutionField:
-    """March the shifted-variable scheme over the grid.
+def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -> SolutionSamples:
+    """March the shifted-variable scheme over the grid and sample it at ``times``.
 
     With w = u - a - b t the problem reads w = J^alpha(-A u); product-trapezoid
     quadrature of the convolution gives, at step k,
@@ -171,8 +149,11 @@ def solve_timestep(A, source: SourcePair, alpha: float, grid: TimeGrid) -> Solut
         (I + kappa0 A) u_k = a + b t_k - kappa0 * (c0[k] A u_0
                               + sum_{j=1}^{k-1} w[k-j] A u_j),
 
-    i.e. one LU solve per step with a fixed matrix.  The full history is kept
-    (O(K N) memory).
+    i.e. one LU solve per step with a fixed matrix, factored once per call.
+    The times must be grid nodes k * T / K; that is checked before the first
+    step.  The columns of a block are marched one at a time through one
+    history of K+1 states (O(K N) memory), and each keeps only its sampled
+    states, shaped (times, *source.a.shape).
 
     The scheme is implicit but only conditionally stable: the most recent
     history weight 2^(alpha+1) - 2 exceeds 1 for orders above 1, and the
@@ -186,10 +167,16 @@ def solve_timestep(A, source: SourcePair, alpha: float, grid: TimeGrid) -> Solut
     n = mat.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
-    if source.a.ndim != 1:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    idx = np.rint(times / grid.dt).astype(int)
+    tol = 1e-9 * max(1.0, grid.T)
+    off = (idx < 0) | (idx > grid.K) | (np.abs(idx * grid.dt - times) > tol)
+    if np.any(off):
+        bad = times[off]
+        shown = ", ".join(f"{t:.3g}" for t in bad[:3]) + (", ..." if bad.size > 3 else "")
         raise ValueError(
-            f"time stepping takes one source, got a block of shape {source.a.shape}; "
-            f"solve its columns one at a time"
+            f"times [{shown}] ({bad.size} of {times.size}) are not nodes k * T / K of "
+            f"the time-stepping grid (T = {grid.T:g}, K = {grid.K})"
         )
     K = grid.K
     w, c0 = rl_weights(alpha, K)
@@ -207,23 +194,27 @@ def solve_timestep(A, source: SourcePair, alpha: float, grid: TimeGrid) -> Solut
 
     lu = scipy.linalg.lu_factor(np.eye(n) + kappa0 * mat)
     t = grid.nodes
+    a = source.a.reshape(n, -1)
+    b = source.b.reshape(n, -1)
+    states = np.empty((len(times), n, a.shape[1]))
     u = np.empty((K + 1, n))
     gu = np.empty((K + 1, n))  # A u_j history
-    u[0] = source.a
-    gu[0] = mat @ source.a
-    for k in range(1, K + 1):
-        hist = c0[k] * gu[0]
-        if k >= 2:
-            hist = hist + np.tensordot(w[1:k], gu[k - 1:0:-1], axes=1)
-        rhs = source.a + source.b * t[k] - kappa0 * hist
-        u[k] = scipy.linalg.lu_solve(lu, rhs)
-        if not np.all(np.isfinite(u[k])):
-            raise NumericsError(f"time stepping produced non-finite state at step {k}")
-        gu[k] = mat @ u[k]
-    return SolutionField(
-        grid,
-        u,
-        alpha=alpha,
+    for j, (aj, bj) in enumerate(zip(a.T, b.T)):
+        u[0] = aj
+        gu[0] = mat @ aj
+        for k in range(1, K + 1):
+            hist = c0[k] * gu[0]
+            if k >= 2:
+                hist = hist + np.tensordot(w[1:k], gu[k - 1:0:-1], axes=1)
+            rhs = aj + bj * t[k] - kappa0 * hist
+            u[k] = scipy.linalg.lu_solve(lu, rhs)
+            if not np.all(np.isfinite(u[k])):
+                raise NumericsError(f"time stepping produced non-finite state at step {k}")
+            gu[k] = mat @ u[k]
+        states[:, :, j] = u[idx]
+    return SolutionSamples(
+        times,
+        states.reshape(len(times), *source.a.shape),
         route="timestep",
         params={"K": K, "scheme": "product-trapezoid", "kappa0": kappa0},
     )
@@ -273,7 +264,6 @@ def solve_resolvent(
     alpha: float,
     times,
     contour: LaplaceContour | None = None,
-    spectrum: np.ndarray | None = None,
 ) -> SolutionSamples:
     """Bromwich inversion of the resolvent representation at the given times.
 
@@ -281,8 +271,6 @@ def solve_resolvent(
     the conjugate-symmetric node pairs, and each node costs one complex solve
     with p^alpha I + A for all columns of the source.  The real part of the
     symmetric-node sum is returned, shaped (times, *source.a.shape).
-    When ``spectrum`` is given, nodes whose p^alpha comes too close to
-    -spectrum raise :class:`ContourError`.
     """
     _check_alpha(alpha)
     mat = as_matrix(A).astype(complex)
@@ -311,13 +299,6 @@ def solve_resolvent(
         p = sigma * theta * (1.0 / np.tan(theta) + 1j)
         dp = sigma * (1.0 / np.tan(theta) - theta / np.sin(theta) ** 2 + 1j)
         pa = p**alpha
-        if spectrum is not None:
-            dist = np.min(np.abs(pa[:, None] + np.asarray(spectrum)[None, :]))
-            if dist < 1e-10 * rho:
-                raise ContourError(
-                    f"contour collides with the generalized spectrum at t={t} "
-                    f"(min |p^alpha + lambda| = {dist:.3g})"
-                )
         acc = np.zeros(a.shape)
         for m in range(half):
             rhs = p[m] ** (alpha - 1.0) * a + p[m] ** (alpha - 2.0) * b
@@ -338,7 +319,6 @@ def solve_resolvent(
     return SolutionSamples(
         times,
         states,
-        alpha=alpha,
         route="resolvent",
         params={"nodes": M, "r": rs, "rho_bound": rho},
     )
@@ -399,7 +379,6 @@ def solve_spectral_oracle(
     return SolutionSamples(
         times,
         states_c.real.copy(),
-        alpha=alpha,
         route="spectral",
         params={"clusters": riesz.n_clusters, "imag_residual": imag_resid},
     )
@@ -416,38 +395,17 @@ def solve(
     """States at the given times by the route the type of ``method`` selects.
 
     :class:`RieszData` runs the mode sum, :class:`LaplaceContour` the Talbot
-    inversion and :class:`TimeGrid` time stepping on that grid.  Time stepping
-    checks that the times are grid nodes before the first step, then marches
-    the columns of a block one at a time and keeps only their sampled states.
-    States are shaped (times, *source.a.shape).
+    inversion and :class:`TimeGrid` time stepping on that grid.
     """
     if isinstance(method, RieszData):
         return solve_spectral_oracle(method, source, alpha, times)
     if isinstance(method, LaplaceContour):
         return solve_resolvent(A, source, alpha, times, contour=method)
-    if not isinstance(method, TimeGrid):
-        raise TypeError(
-            f"unknown solver route {method!r}: pass a TimeGrid, a LaplaceContour or RieszData"
-        )
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    k = np.rint(times / method.dt).astype(int)
-    tol = 1e-9 * max(1.0, method.T)
-    off = (k < 0) | (k > method.K) | (np.abs(k * method.dt - times) > tol)
-    if np.any(off):
-        bad = times[off]
-        shown = ", ".join(f"{t:.3g}" for t in bad[:3]) + (", ..." if bad.size > 3 else "")
-        raise ValueError(
-            f"times [{shown}] ({bad.size} of {times.size}) are not nodes k * T / K of "
-            f"the time-stepping grid (T = {method.T:g}, K = {method.K})"
-        )
-    a = source.a.reshape(source.size, -1)
-    b = source.b.reshape(source.size, -1)
-    columns = []
-    for j in range(a.shape[1]):
-        u = solve_timestep(A, SourcePair(a[:, j], b[:, j]), alpha, method)
-        columns.append(u.states[k])  # the trajectory is dropped once sampled
-    states = np.stack(columns, axis=-1).reshape(len(times), *source.a.shape)
-    return SolutionSamples(times, states, alpha=alpha, route="timestep", params=u.params)
+    if isinstance(method, TimeGrid):
+        return solve_timestep(A, source, alpha, times, grid=method)
+    raise TypeError(
+        f"unknown solver route {method!r}: pass a TimeGrid, a LaplaceContour or RieszData"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +422,7 @@ class LaplaceIdentitySample:
 
 
 def laplace_identity_check(
-    u: SolutionField,
+    u: SolutionSamples,
     source: SourcePair,
     A,
     alpha: float,
@@ -473,13 +431,13 @@ def laplace_identity_check(
 ) -> list[LaplaceIdentitySample]:
     """Residual of  p^alpha (Lu) - p^(alpha-1) a - p^(alpha-2) b + A (Lu) = 0.
 
-    The transform is the trapezoid rule truncated at the trajectory horizon T;
-    each sample reports the relative residual together with the truncation
-    bound e^(-Re(p) T) * sup_t ||u(t)||, and is flagged inconclusive when that
-    bound is not far below the requested tolerance.
+    The transform is the trapezoid rule over the sample times, truncated at
+    the last one, T; each sample reports the relative residual together with
+    the truncation bound e^(-Re(p) T) * sup_t ||u(t)||, and is flagged
+    inconclusive when that bound is not far below the requested tolerance.
     """
     mat = as_matrix(A).astype(float)
-    t = u.grid.nodes
+    t = u.times
     sup = float(np.max(np.linalg.norm(u.states, axis=1)))
     rows = []
     for p in np.atleast_1d(p_samples):
@@ -487,7 +445,7 @@ def laplace_identity_check(
         if p.real <= 0.0:
             raise ValueError(f"need Re(p) > 0, got p={p}")
         weights = np.exp(-p * t)
-        uhat = np.trapezoid(weights[:, None] * u.states, dx=u.grid.dt, axis=0)
+        uhat = np.trapezoid(weights[:, None] * u.states, x=t, axis=0)
         terms = [
             p**alpha * uhat,
             mat @ uhat,
@@ -496,7 +454,7 @@ def laplace_identity_check(
         ]
         resid = np.linalg.norm(sum(terms))
         denom = max(max(np.linalg.norm(v) for v in terms), 1e-300)
-        bound = math.exp(-p.real * u.grid.T) * sup
+        bound = math.exp(-p.real * t[-1]) * sup
         rel = float(resid / denom)
         conclusive = bound <= 0.1 * tol * denom
         rows.append(LaplaceIdentitySample(p, rel, bound, conclusive))
@@ -519,15 +477,16 @@ class GrowthFit:
     degenerate: bool = False
 
 
-def growth_probe(u: SolutionField) -> GrowthFit:
+def growth_probe(u: SolutionSamples) -> GrowthFit:
     """Fit the exponential growth envelope of a long-horizon trajectory."""
-    if u.grid.T < 5.0:
-        raise ValueError(f"growth probe needs horizon T >= 5, got T={u.grid.T}")
+    horizon = u.times[-1]
+    if horizon < 5.0:
+        raise ValueError(f"growth probe needs horizon T >= 5, got T={horizon}")
     norms = np.linalg.norm(u.states, axis=1)
     mask = norms > 0.0
     if not np.any(mask):
         return GrowthFit(0.0, 0.0, 0.0, degenerate=True)
-    t = u.grid.nodes[mask]
+    t = u.times[mask]
     logn = np.log(norms[mask])
     slope, intercept = np.polyfit(t, logn, 1)
     excess = float(np.max(logn - (intercept + slope * t)))

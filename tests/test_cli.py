@@ -250,6 +250,13 @@ class TestConfigErrors:
             ),
             ("simulate", "K = 1\n", "[problem] T, K"),
             ("spectrum", "\n[spectral]\ncontour_nodes = 0\n", "[spectral] contour_nodes"),
+            ("invert", "\n[inversion]\nnoise = -0.001\n", "[inversion] noise"),
+            ("invert", "\n[inversion]\nreg_scale = -1\n", "[inversion] reg_scale"),
+            (
+                "invert",
+                "\n[inversion]\nmethod = tsvd\ntsvd_rank = 0\n",
+                "[inversion] tsvd_rank",
+            ),
         ],
         ids=[
             "off-grid-time",
@@ -260,6 +267,9 @@ class TestConfigErrors:
             "odd-talbot-nodes",
             "one-time-step",
             "no-contour-nodes",
+            "negative-noise",
+            "negative-reg-scale",
+            "zero-tsvd-rank",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, command, extra, field):
@@ -271,7 +281,7 @@ class TestConfigErrors:
         def no_stepping(*args, **kwargs):
             raise AssertionError("time stepping ran before the grid check")
 
-        monkeypatch.setattr(fracwave.solver, "solve_timestep", no_stepping)
+        monkeypatch.setattr(fracwave.solver, "rl_weights", no_stepping)
         cfg = write(tmp_path, self.BASE + "\n[solver]\nroutes = timestep\ntimes = 2.0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error: [solver] times" in capsys.readouterr().err

@@ -41,17 +41,29 @@ def reference():
     return op, source, riesz
 
 
+@pytest.fixture(scope="module")
+def reference_2d():
+    """Advection-diffusion on a 4x4 interior grid of the unit square."""
+    mesh = Mesh((0.0, 0.0), (1.0, 1.0), (4, 4))
+    op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+    x, y = mesh.interior_coordinates()
+    source = SourcePair(np.sin(np.pi * x) * np.sin(np.pi * y), x * (1 - x) * y * (1 - y))
+    riesz = compute_riesz_data(op, eigendecompose(op))
+    return op, source, riesz
+
+
 class TestTimestep:
     def test_zero_operator_exact(self):
         grid = TimeGrid(2.0, 16)
         src = SourcePair(np.arange(1.0, 5.0), np.ones(4))
-        u = solve_timestep(np.zeros((4, 4)), src, ALPHA, grid)
+        u = solve_timestep(np.zeros((4, 4)), src, ALPHA, grid.nodes, grid)
         exact = src.a[None, :] + src.b[None, :] * grid.nodes[:, None]
         np.testing.assert_array_equal(u.states, exact)
 
     def test_initial_state_exact(self, reference):
         op, src, _ = reference
-        u = solve_timestep(op, src, ALPHA, TimeGrid(1.0, 128))
+        grid = TimeGrid(1.0, 128)
+        u = solve_timestep(op, src, ALPHA, grid.nodes, grid)
         np.testing.assert_array_equal(u.states[0], src.a)
 
     def test_scalar_mittag_leffler_refinement(self):
@@ -60,14 +72,16 @@ class TestTimestep:
         exact = scalar_exact(1.0, ALPHA, 1.0, 0.0, 1.0)
         errs = []
         for K in (256, 512):
-            u = solve_timestep(A, src, ALPHA, TimeGrid(1.0, K))
+            grid = TimeGrid(1.0, K)
+            u = solve_timestep(A, src, ALPHA, grid.nodes, grid)
             errs.append(abs(u.states[-1, 0] - exact))
         assert errs[0] < 1e-5
         assert errs[1] < 0.6 * errs[0]
 
     def test_wave_limit_surrogate(self):
         # alpha -> 2 with lambda = 4: the classical limit is cos(2 t)
-        u = solve_timestep(np.array([[4.0]]), SourcePair([1.0], [0.0]), 1.99, TimeGrid(1.0, 2048))
+        grid = TimeGrid(1.0, 2048)
+        u = solve_timestep(np.array([[4.0]]), SourcePair([1.0], [0.0]), 1.99, grid.nodes, grid)
         assert abs(u.states[-1, 0] - np.cos(2.0)) < 0.05 * abs(np.cos(2.0))
 
     def test_initial_slope_approaches_b(self):
@@ -75,8 +89,9 @@ class TestTimestep:
         src = SourcePair([1.0], [3.0])
         errs = []
         for K in (512, 1024):
-            u = solve_timestep(A, src, ALPHA, TimeGrid(1.0, K))
-            slope = (u.states[1, 0] - u.states[0, 0]) / u.grid.dt
+            grid = TimeGrid(1.0, K)
+            u = solve_timestep(A, src, ALPHA, grid.nodes, grid)
+            slope = (u.states[1, 0] - u.states[0, 0]) / grid.dt
             errs.append(abs(slope - 3.0))
         assert errs[1] < 0.85 * errs[0]  # O(dt^(alpha-1)) vanishing slope defect
 
@@ -87,30 +102,41 @@ class TestTimestep:
 
         A = np.array([[1e6]])
         src = SourcePair([1.0], [0.0])
+        coarse, fine = TimeGrid(1.0, 200), TimeGrid(1.0, 12000)
         with pytest.raises(NumericsError, match="K >="):
-            solve_timestep(A, src, ALPHA, TimeGrid(1.0, 200))
-        u = solve_timestep(A, src, ALPHA, TimeGrid(1.0, 12000))
+            solve_timestep(A, src, ALPHA, coarse.nodes, coarse)
+        u = solve_timestep(A, src, ALPHA, fine.nodes, fine)
         assert np.all(np.isfinite(u.states))
         assert np.max(np.abs(u.states[1:, 0])) <= 1.0
 
     def test_linearity(self, reference):
         op, src, _ = reference
         grid = TimeGrid(1.0, 128)
-        u_both = solve_timestep(op, src, ALPHA, grid)
-        u_a = solve_timestep(op, SourcePair(src.a, np.zeros(32)), ALPHA, grid)
-        u_b = solve_timestep(op, SourcePair(np.zeros(32), src.b), ALPHA, grid)
+        u_both = solve_timestep(op, src, ALPHA, grid.nodes, grid)
+        u_a = solve_timestep(op, SourcePair(src.a, np.zeros(32)), ALPHA, grid.nodes, grid)
+        u_b = solve_timestep(op, SourcePair(np.zeros(32), src.b), ALPHA, grid.nodes, grid)
         np.testing.assert_allclose(u_a.states + u_b.states, u_both.states, atol=1e-13)
 
     def test_alpha_validation(self):
+        grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            solve_timestep(np.eye(2), SourcePair([1, 0.0], [0, 0.0]), 2.0, TimeGrid(1.0, 8))
+            solve_timestep(np.eye(2), SourcePair([1, 0.0], [0, 0.0]), 2.0, grid.nodes, grid)
 
     def test_source_size_mismatch(self):
+        grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            solve_timestep(np.eye(3), SourcePair([1.0, 0.0], [0.0, 0.0]), ALPHA, TimeGrid(1.0, 8))
-        # a block of sources is refused: the trajectory would hold K+1 states per column
-        with pytest.raises(ValueError, match="one source"):
-            solve_timestep(np.eye(3), SourcePair(np.eye(3), np.eye(3)), ALPHA, TimeGrid(1.0, 8))
+            solve_timestep(np.eye(3), SourcePair([1.0, 0.0], [0.0, 0.0]), ALPHA, grid.nodes, grid)
+        # a block is marched column by column through the same factorization
+        rng = np.random.default_rng(3)
+        block = SourcePair(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        A = np.diag([1.0, 2.0, 3.0]) + 0.5 * np.eye(3, k=1)
+        got = solve_timestep(A, block, ALPHA, grid.nodes, grid).states
+        assert got.shape == (9, 3, 3)
+        for j in range(3):
+            column = SourcePair(block.a[:, j], block.b[:, j])
+            np.testing.assert_array_equal(
+                got[:, :, j], solve_timestep(A, column, ALPHA, grid.nodes, grid).states
+            )
 
 
 class TestResolvent:
@@ -187,8 +213,9 @@ class TestSpectralOracle:
 
 
 class TestCrossRoute:
-    def test_three_routes_agree(self, reference):
-        op, src, riesz = reference
+    @pytest.mark.parametrize("problem", ["reference", "reference_2d"], ids=["1d", "2d"])
+    def test_three_routes_agree(self, request, problem):
+        op, src, riesz = request.getfixturevalue(problem)
         times = [0.25, 0.5, 1.0]
         u_step, u_res, u_spec = (
             solve(op, src, ALPHA, times, method)
@@ -203,7 +230,7 @@ class TestCrossRoute:
         op, src, _ = reference
         grid = TimeGrid(1.0, 128)
         u = solve(op, src, ALPHA, [0.25, 0.5, 1.0], grid)
-        trajectory = solve_timestep(op, src, ALPHA, grid).states
+        trajectory = solve_timestep(op, src, ALPHA, grid.nodes, grid).states
         np.testing.assert_array_equal(u.states, trajectory[[32, 64, 128]])
 
     def test_states_at_rejects_off_grid_times(self, reference):
@@ -289,7 +316,7 @@ class TestLaplaceIdentity:
     def test_zero_operator(self):
         grid = TimeGrid(20.0, 2000)
         src = SourcePair([2.0], [1.0])
-        u = solve_timestep(np.zeros((1, 1)), src, ALPHA, grid)
+        u = solve_timestep(np.zeros((1, 1)), src, ALPHA, grid.nodes, grid)
         rows = laplace_identity_check(u, src, np.zeros((1, 1)), ALPHA, [2.0])
         assert rows[0].residual < 1e-4  # transform quadrature accuracy at K=2000
         assert rows[0].conclusive
@@ -298,7 +325,7 @@ class TestLaplaceIdentity:
         grid = TimeGrid(20.0, 2048)
         src = SourcePair([1.0], [0.0])
         A = np.array([[1.0]])
-        u = solve_timestep(A, src, ALPHA, grid)
+        u = solve_timestep(A, src, ALPHA, grid.nodes, grid)
         rows = laplace_identity_check(u, src, A, ALPHA, [3.0])
         assert rows[0].residual < 1e-2
 
@@ -309,7 +336,7 @@ class TestLaplaceIdentity:
         x = mesh.axis_nodes(0)
         src = SourcePair(np.sin(np.pi * x), rng.standard_normal(16) * x * (1 - x))
         grid = TimeGrid(20.0, 2048)
-        u = solve_timestep(op, src, ALPHA, grid)
+        u = solve_timestep(op, src, ALPHA, grid.nodes, grid)
         rows = laplace_identity_check(u, src, op, ALPHA, [2.0, 3.0, 4.0])
         assert all(r.residual < 1e-2 for r in rows)
         # transform of the trajectory vs the resolvent formula evaluated directly
@@ -327,34 +354,38 @@ class TestLaplaceIdentity:
         grid = TimeGrid(1.0, 64)
         src = SourcePair([1.0], [0.0])
         A = np.array([[1.0]])
-        u = solve_timestep(A, src, ALPHA, grid)
+        u = solve_timestep(A, src, ALPHA, grid.nodes, grid)
         rows = laplace_identity_check(u, src, A, ALPHA, [0.5], tol=1e-6)
         assert not rows[0].conclusive
 
 
 class TestGrowthProbe:
     def test_zero_solution_degenerate(self):
-        u = solve_timestep(np.eye(2), SourcePair(np.zeros(2), np.zeros(2)), ALPHA, TimeGrid(5.0, 64))
+        grid = TimeGrid(5.0, 64)
+        u = solve_timestep(np.eye(2), SourcePair(np.zeros(2), np.zeros(2)), ALPHA, grid.nodes, grid)
         fit = growth_probe(u)
         assert fit.degenerate and fit.C1 == 0.0 and fit.C2 == 0.0
 
     def test_dissipative_envelope(self, reference):
         op, src, _ = reference
-        u = solve_timestep(op, src, ALPHA, TimeGrid(5.0, 512))
+        grid = TimeGrid(5.0, 512)
+        u = solve_timestep(op, src, ALPHA, grid.nodes, grid)
         fit = growth_probe(u)
         norms = np.linalg.norm(u.states, axis=1)
         assert fit.C2 <= 0.1
-        assert np.all(norms <= fit.C1 * np.exp(fit.C2 * u.grid.nodes) * (1 + 1e-12))
+        assert np.all(norms <= fit.C1 * np.exp(fit.C2 * grid.nodes) * (1 + 1e-12))
 
     def test_unstable_mode_rate(self):
         # -A with positive eigenvalue mu: the envelope rate approaches mu^(1/alpha)
         mu = 2.0
-        u = solve_timestep(np.array([[-mu]]), SourcePair([1.0], [0.0]), ALPHA, TimeGrid(8.0, 1024))
+        grid = TimeGrid(8.0, 1024)
+        u = solve_timestep(np.array([[-mu]]), SourcePair([1.0], [0.0]), ALPHA, grid.nodes, grid)
         fit = growth_probe(u)
         assert fit.C2 == pytest.approx(mu ** (1.0 / ALPHA), rel=0.2)
         assert fit.C2 > 0
 
     def test_horizon_precondition(self):
-        u = solve_timestep(np.eye(1), SourcePair([1.0], [0.0]), ALPHA, TimeGrid(2.0, 32))
+        grid = TimeGrid(2.0, 32)
+        u = solve_timestep(np.eye(1), SourcePair([1.0], [0.0]), ALPHA, grid.nodes, grid)
         with pytest.raises(ValueError):
             growth_probe(u)
