@@ -31,6 +31,7 @@ from .fraccalc import (
     TimeSeries,
     caputo_derivative,
     mittag_leffler,
+    mittag_leffler_kernel,
     rl_integral,
 )
 from .observability import (

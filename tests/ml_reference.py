@@ -6,7 +6,9 @@ are tabulated once in ``ml_reference.json``.  Regenerate the table with
     python tests/ml_reference.py
 """
 
+import cmath
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
@@ -20,6 +22,26 @@ LARGE_NEGATIVE = [
     for beta in (1.0, 2.0)
     for q in (15.0, 50.0, 400.0, 4000.0)
 ]
+
+# alpha near both ends of (1, 2); near 1 the sum needs |z|^(1/alpha) terms,
+# so |z| stays at most 400
+NEAR_ENDS = [
+    (alpha, beta, -q) for alpha in (1.05, 1.95) for beta in (1.0, 2.0) for q in (15.0, 50.0, 400.0)
+]
+
+# rays 0.01 and 0.05 rad either side of arg z = (2 - alpha) pi, where a root
+# of s^alpha = z meets the branch cut
+NEAR_CUT = [
+    (alpha, 1.0, mod * cmath.exp(1j * ((2.0 - alpha) * math.pi + off)))
+    for alpha in (1.25, 1.5)
+    for off in (-0.05, -0.01, 0.01, 0.05)
+    for mod in (12.0, 60.0)
+]
+
+# the largest argument of the configs/demo.ini observation map
+DEMO_LARGEST = [(1.5, beta, -4345.888965098841) for beta in (1.0, 2.0)]
+
+POINTS = LARGE_NEGATIVE + NEAR_ENDS + NEAR_CUT + DEMO_LARGEST
 
 
 def ml_reference(alpha, beta, z):
@@ -40,14 +62,19 @@ def ml_reference(alpha, beta, z):
 def load_table() -> dict:
     """{(alpha, beta, z): E_{alpha,beta}(z)} as tabulated."""
     rows = json.loads(TABLE.read_text())
-    return {(r["alpha"], r["beta"], r["z"]): complex(r["re"], r["im"]) for r in rows}
+    return {
+        (r["alpha"], r["beta"], complex(r["z"], r["z_im"]) if "z_im" in r else r["z"]):
+        complex(r["re"], r["im"])
+        for r in rows
+    }
 
 
 def main() -> None:
     rows = []
-    for alpha, beta, z in LARGE_NEGATIVE:
+    for alpha, beta, z in POINTS:
         value = ml_reference(alpha, beta, z)
-        rows.append({"alpha": alpha, "beta": beta, "z": z, "re": value.real, "im": value.imag})
+        arg = {"z": z} if isinstance(z, float) else {"z": z.real, "z_im": z.imag}
+        rows.append({"alpha": alpha, "beta": beta, **arg, "re": value.real, "im": value.imag})
     TABLE.write_text(json.dumps(rows, indent=1) + "\n")
 
 

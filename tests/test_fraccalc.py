@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from fracwave.errors import MittagLefflerError
@@ -10,10 +13,19 @@ from fracwave.fraccalc import (
     TimeSeries,
     caputo_derivative,
     mittag_leffler,
+    mittag_leffler_kernel,
     rl_integral,
     second_differences,
 )
-from ml_reference import LARGE_NEGATIVE, load_table, ml_reference
+from ml_reference import (
+    DEMO_LARGEST,
+    LARGE_NEGATIVE,
+    NEAR_CUT,
+    NEAR_ENDS,
+    POINTS,
+    load_table,
+    ml_reference,
+)
 
 
 def series(grid, fn):
@@ -202,11 +214,17 @@ class TestMittagLeffler:
             ref = table[alpha, beta, -q]
             assert abs(mittag_leffler(alpha, beta, -q) - ref) < 1e-10
 
+    @pytest.mark.parametrize("alpha, beta, z", NEAR_ENDS + NEAR_CUT + DEMO_LARGEST)
+    def test_kernel_regimes(self, alpha, beta, z):
+        # alpha near 1 and 2, poles 0.01-0.05 rad from the branch cut, and the
+        # largest argument of the demo observation map
+        assert abs(mittag_leffler(alpha, beta, z) - load_table()[alpha, beta, z]) < 1e-10
+
     def test_reference_table_matches_live_values(self):
-        # the entries cheap enough to recompute; the rest cost about a minute
+        # the entries cheap enough to recompute; the rest cost minutes
         table = load_table()
-        assert set(table) == set(LARGE_NEGATIVE)
-        for alpha, beta, z in LARGE_NEGATIVE:
+        assert set(table) == set(POINTS)
+        for alpha, beta, z in POINTS:
             if abs(z) <= 50.0:
                 assert table[alpha, beta, z] == ml_reference(alpha, beta, z)
 
@@ -241,6 +259,8 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError):
             # root of s^alpha = z lands exactly on the branch cut
             mittag_leffler(1.25, 1.0, 50.0 * np.exp(0.75j * np.pi))
+        with pytest.raises(MittagLefflerError, match="overflows"):
+            mittag_leffler(0.5, 1.0, 1000.0)  # E ~ 2 e^(10^6)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_alpha_validation(self, bad):
@@ -257,3 +277,89 @@ class TestMittagLeffler:
         value = np.trapezoid(np.exp(-p * g.nodes) * vals, dx=g.dt)
         ref = p ** (alpha - 1.0) / (p**alpha + 1.0)
         assert abs(value - ref) < 1e-5
+
+
+# arguments on both sides of the series radius, at any angle
+moduli = st.floats(0.0, 300.0)
+angles = st.floats(-math.pi, math.pi)
+orders = st.floats(1.0, 2.0)
+
+
+def _supported(alpha, beta, z):
+    try:
+        mittag_leffler(alpha, beta, z)
+    except MittagLefflerError:
+        return False
+    return True
+
+
+class TestMittagLefflerKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orders,
+        st.floats(0.5, 2.5),
+        st.lists(st.tuples(moduli, angles), min_size=1, max_size=12),
+    )
+    def test_elements_are_independent(self, alpha, beta, polar):
+        # chunking and order cannot matter: each element of an array result
+        # is bitwise the kernel on that element alone
+        z = np.array([cmath.rect(r, phi) for r, phi in polar])
+        if not all(_supported(alpha, beta, v) for v in z):
+            with pytest.raises(MittagLefflerError):
+                mittag_leffler_kernel(alpha, beta, z)
+            return
+        values = mittag_leffler_kernel(alpha, beta, z)
+        assert values.shape == z.shape
+        for v, e in zip(z, values):
+            assert mittag_leffler_kernel(alpha, beta, v) == e
+        np.testing.assert_array_equal(mittag_leffler_kernel(alpha, beta, z[::-1]), values[::-1])
+        np.testing.assert_array_equal(
+            mittag_leffler_kernel(alpha, beta, np.tile(z, (2, 1))), np.tile(values, (2, 1))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders, st.floats(0.5, 2.5), moduli, angles)
+    def test_conjugate_symmetry(self, alpha, beta, r, phi):
+        z = cmath.rect(r, phi)
+        assume(_supported(alpha, beta, z))
+        e, e_conj = mittag_leffler_kernel(alpha, beta, np.array([z, z.conjugate()]))
+        assert abs(e_conj - e.conjugate()) <= 1e-14 * max(1.0, abs(e))
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders, st.floats(0.5, 2.5), angles)
+    def test_continuity_across_series_radius(self, alpha, beta, phi):
+        # the series serves |z| <= 10, the contour beyond.  The jump is the
+        # series' own rounding error at |z| = 10, which grows as alpha and
+        # beta fall; against mpmath it reaches 1.0e-10 at alpha = 1,
+        # beta = 0.53, arg z = 1.9, the documented ~1e-10 accuracy
+        inner, outer = cmath.rect(10.0 - 1e-12, phi), cmath.rect(10.0 + 1e-12, phi)
+        assume(_supported(alpha, beta, outer))
+        e_in, e_out = mittag_leffler_kernel(alpha, beta, np.array([inner, outer]))
+        assert abs(e_in - e_out) <= 2e-10 * max(1.0, abs(e_in))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=12),
+        st.integers(0, 12),
+        st.floats(10.5, 1000.0),
+    )
+    def test_one_unsupported_element_raises(self, moduli, at, bad):
+        z = -np.array(moduli, dtype=complex)
+        mittag_leffler_kernel(1.5, 1.0, z)
+        # arg z = pi/2 puts a root of s^1.5 = z on the branch cut
+        with pytest.raises(MittagLefflerError, match="branch cut"):
+            mittag_leffler_kernel(1.5, 1.0, np.insert(z, min(at, z.size), 1j * bad))
+        # past the series radius, alpha must be at most 2
+        small = np.minimum(np.abs(z), 10.0) * -1.0
+        mittag_leffler_kernel(2.5, 1.0, small)
+        with pytest.raises(MittagLefflerError, match="alpha <= 2"):
+            mittag_leffler_kernel(2.5, 1.0, np.insert(small, min(at, z.size), -bad))
+
+    def test_shape_and_scalar_wrapper(self):
+        z = -np.geomspace(1e-3, 4e3, 24).reshape(2, 3, 4)
+        values = mittag_leffler_kernel(1.5, 1.0, z)
+        assert values.shape == (2, 3, 4) and values.dtype == complex
+        assert mittag_leffler_kernel(1.5, 1.0, np.empty((0, 3))).shape == (0, 3)
+        assert all(mittag_leffler(1.5, 1.0, v) == e for v, e in zip(z.ravel(), values.ravel()))
+        with pytest.raises(ValueError, match="finite"):
+            mittag_leffler_kernel(1.5, 1.0, np.array([1.0, np.nan]))

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import fracwave.fraccalc
+import fracwave.solver
+from fracwave.cli import main
 from fracwave.elliptic import CoefficientField, Mesh, assemble, subdomain_indices
 from fracwave.errors import ContourError, NumericsError
 from fracwave.fraccalc import TimeGrid, mittag_leffler
@@ -38,11 +43,15 @@ def make_operator(n, advection=1.0):
     return mesh, op
 
 
-def make_operator_2d():
-    # non-square 4x3 grid with advection in both directions
-    mesh = Mesh((0.0, 0.0), (1.0, 0.7), (4, 3))
+def make_operator_2d(hi=(1.0, 0.7), cells=(4, 3)):
+    # non-square 4x3 grid by default, with advection in both directions
+    mesh = Mesh((0.0, 0.0), hi, cells)
     op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
     return mesh, op
+
+
+def make_operator_2d_square():
+    return make_operator_2d((1.0, 1.0), (4, 4))
 
 
 def smooth_source(mesh):
@@ -93,8 +102,9 @@ class TestBuildObservationMap:
         [
             (*make_operator(6), (0.0, 0.5)),
             (*make_operator_2d(), ((0.0, 0.5), (0.0, 0.7))),
+            (*make_operator_2d_square(), ((0.0, 0.5), (0.0, 1.0))),
         ],
-        ids=["1d", "2d"],
+        ids=["1d", "2d", "2d-square"],
     )
     def test_routes_agree_on_map(self, mesh, op, box, riesz):
         omega = subdomain_indices(mesh, box)
@@ -126,6 +136,25 @@ class TestBuildObservationMap:
         direct = solve(op, src, ALPHA, times, method).states[:, omega].reshape(-1)
         via_map = M.matrix @ np.concatenate([src.a, src.b])
         assert np.max(np.abs(direct - via_map)) < 1e-8
+
+    def test_demo_map_calls_kernel_once_per_beta(self, monkeypatch, tmp_path):
+        # the spectral map of configs/demo.ini: 64 times x 32 clusters per beta
+        calls = []
+        kernel = fracwave.fraccalc.mittag_leffler_kernel
+
+        def counted(alpha, beta, z):
+            calls.append((beta, np.shape(z)))
+            return kernel(alpha, beta, z)
+
+        def scalar(*args):
+            raise AssertionError("scalar mittag_leffler called")
+
+        monkeypatch.setattr(fracwave.solver, "mittag_leffler_kernel", counted)
+        monkeypatch.setattr(fracwave.fraccalc, "mittag_leffler", scalar)
+        demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
+        argv = ["observability", "--config", str(demo), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(calls) == [(1.0, (64, 32)), (2.0, (64, 32))]
 
     def test_omega_out_of_range(self, riesz):
         _, op = make_operator(4)
@@ -234,8 +263,9 @@ class TestProjectionCascade:
         [
             (*make_operator(8), (0.0, 0.5)),
             (*make_operator_2d(), ((0.0, 0.5), (0.0, 0.7))),
+            (*make_operator_2d_square(), ((0.0, 0.5), (0.0, 1.0))),
         ],
-        ids=["1d", "2d"],
+        ids=["1d", "2d", "2d-square"],
     )
     def test_generic_operator_vacuous(self, mesh, op, box, riesz):
         omega = subdomain_indices(mesh, box)
@@ -314,7 +344,11 @@ class TestBranchProbe:
 
 
 class TestInversion:
-    @pytest.mark.parametrize("mesh, op", [make_operator(32), make_operator_2d()], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "mesh, op",
+        [make_operator(32), make_operator_2d(), make_operator_2d_square()],
+        ids=["1d", "2d", "2d-square"],
+    )
     def test_noiseless_full_domain_recovery(self, mesh, op, riesz):
         src = smooth_source(mesh)
         setup = ObservationSetup(np.arange(mesh.size), np.geomspace(1e-3, 1.0, 8), riesz(op))
