@@ -276,11 +276,6 @@ def _ml_large(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             f"|z|={abs(z[0]):.3g} exceeds the series radius and the "
             f"large-argument path requires alpha <= 2, got alpha={alpha}"
         )
-    if beta >= 1.0 + alpha:
-        raise MittagLefflerError(
-            f"large-argument evaluation supports beta < 1 + alpha, "
-            f"got alpha={alpha}, beta={beta}"
-        )
     theta = np.angle(z)
     out = np.empty_like(z)
     rest = np.ones(z.shape, dtype=bool)
@@ -296,6 +291,11 @@ def _ml_large(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             zc = z[~rest]
             out[~rest] = np.exp(zc) if beta == 1.0 else (np.exp(zc) - 1.0) / zc
     z, theta = z[rest], theta[rest]
+    if beta >= 1.0 + alpha and z.size:
+        raise MittagLefflerError(
+            f"large-argument evaluation supports beta < 1 + alpha, "
+            f"got alpha={alpha}, beta={beta}"
+        )
     phi = (theta + 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])) / alpha
     on_cut = np.abs(np.abs(phi) - math.pi) < _ML_POLE_GUARD
     if on_cut.any():
@@ -329,10 +329,12 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
     contour, with the rule's exact pole corrections, so poles near the contour
     cost no accuracy.  Absolute accuracy ~1e-10 for alpha in [1, 2],
     |z| <= 50, and well beyond for arguments away from the regime
-    boundaries.  Unsupported regimes (alpha > 2 or beta >= 1 + alpha beyond
-    the series radius, a pole within 1e-6 rad of the branch cut, alpha = 1
-    near the negative axis with beta other than 1 or 2) raise
-    :class:`MittagLefflerError` if any element is in them, never NaN.
+    boundaries.  Alpha = 1 near the negative axis uses the closed forms e^z
+    and (e^z - 1)/z.  Unsupported regimes (alpha > 2 or beta >= 1 + alpha
+    beyond the series radius and outside those closed forms, a pole within
+    1e-6 rad of the branch cut, alpha = 1 near the negative axis with beta
+    other than 1 or 2) raise :class:`MittagLefflerError` if any element is
+    in them, never NaN.
 
     Every element is computed on its own, so a result does not depend on the
     other elements, and the temporaries are a few arrays the size of ``z``.
@@ -340,7 +342,8 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
     Parameters
     ----------
     alpha : positive order; large arguments require 0 < alpha <= 2.
-    beta : real second parameter; large arguments require beta < 1 + alpha.
+    beta : real second parameter; large arguments require beta < 1 + alpha
+        except in the alpha = 1 closed forms.
     z : complex argument(s), any shape.
 
     Returns

@@ -93,7 +93,9 @@ class SourcePair:
     Both live on interior nodes, so a vanishes on the boundary by construction.
     Each is a vector (N,) or a block (N, m) whose m columns are m sources;
     ``solve_resolvent`` and ``solve_spectral_oracle`` solve a block at once,
-    ``solve_timestep`` marches its columns one at a time.
+    ``solve_timestep`` marches its columns one at a time, one ``dgetrs`` per
+    step through a newest-first history, and checks each column's
+    trajectory for finiteness once.
     """
 
     a: np.ndarray
@@ -149,11 +151,16 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
         (I + kappa0 A) u_k = a + b t_k - kappa0 * (c0[k] A u_0
                               + sum_{j=1}^{k-1} w[k-j] A u_j),
 
-    i.e. one LU solve per step with a fixed matrix, factored once per call.
+    i.e. one LU solve per step with a fixed matrix, factored once per call;
+    each step calls LAPACK ``dgetrs`` on the ``lu_factor`` pair directly.
     The times must be grid nodes k * T / K; that is checked before the first
     step.  The columns of a block are marched one at a time through one
     history of K+1 states (O(K N) memory), and each keeps only its sampled
-    states, shaped (times, *source.a.shape).
+    states, shaped (times, *source.a.shape).  The A u_j history is stored
+    newest first, so the convolution sum is one ``np.dot`` of the weights
+    with a contiguous slice.  Finiteness is checked once per column
+    trajectory; a non-finite state raises :class:`NumericsError` naming the
+    first bad step and the column.
 
     The scheme is implicit but only conditionally stable: the most recent
     history weight 2^(alpha+1) - 2 exceeds 1 for orders above 1, and the
@@ -192,26 +199,31 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
             f"use K >= {int(math.ceil(grid.T / dt_max))} for T = {grid.T}"
         )
 
-    lu = scipy.linalg.lu_factor(np.eye(n) + kappa0 * mat)
+    lu, piv = scipy.linalg.lu_factor(np.eye(n) + kappa0 * mat)
+    getrs = scipy.linalg.lapack.dgetrs
     t = grid.nodes
     a = source.a.reshape(n, -1)
     b = source.b.reshape(n, -1)
     states = np.empty((len(times), n, a.shape[1]))
     u = np.empty((K + 1, n))
-    gu = np.empty((K + 1, n))  # A u_j history
-    for j, (aj, bj) in enumerate(zip(a.T, b.T)):
-        u[0] = aj
-        gu[0] = mat @ aj
-        for k in range(1, K + 1):
-            hist = c0[k] * gu[0]
-            if k >= 2:
-                hist = hist + np.tensordot(w[1:k], gu[k - 1:0:-1], axes=1)
-            rhs = aj + bj * t[k] - kappa0 * hist
-            u[k] = scipy.linalg.lu_solve(lu, rhs)
-            if not np.all(np.isfinite(u[k])):
-                raise NumericsError(f"time stepping produced non-finite state at step {k}")
-            gu[k] = mat @ u[k]
-        states[:, :, j] = u[idx]
+    gu = np.empty((K + 1, n))  # A u_j at row K - j: newest first
+    with np.errstate(over="ignore", invalid="ignore"):  # reported per column below
+        for j, (aj, bj) in enumerate(zip(a.T, b.T)):
+            u[0] = aj
+            gu[K] = mat @ aj
+            for k in range(1, K + 1):
+                hist = c0[k] * gu[K]
+                if k >= 2:
+                    hist = hist + np.dot(w[1:k], gu[K - k + 1:K])
+                u[k] = getrs(lu, piv, aj + bj * t[k] - kappa0 * hist, overwrite_b=1)[0]
+                gu[K - k] = mat @ u[k]
+            finite = np.isfinite(u).all(axis=1)
+            if not finite.all():
+                raise NumericsError(
+                    f"time stepping produced non-finite state at step "
+                    f"{int(np.argmin(finite))} of source column {j}"
+                )
+            states[:, :, j] = u[idx]
     return SolutionSamples(
         times,
         states.reshape(len(times), *source.a.shape),

@@ -291,6 +291,18 @@ class TestConfigErrors:
         cfg = write(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+
+class TestNumericalFailures:
+    def test_march_overflow_exits_2(self, tmp_path, capsys):
+        # a finite source whose A a overflows: a numerical failure, not a config error
+        text = TestConfigErrors.BASE + "a = 1e308*sin(pi*x)\n\n[solver]\ntimes = 0.5\n"
+        cfg = write(tmp_path, text)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--route", "timestep"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: time stepping produced non-finite state at step 1" in err
+
+
 class TestSelftestAndUsage:
     def test_no_arguments_prints_usage(self, capsys):
         assert main([]) == 0

@@ -261,6 +261,12 @@ class TestMittagLeffler:
             mittag_leffler(1.25, 1.0, 50.0 * np.exp(0.75j * np.pi))
         with pytest.raises(MittagLefflerError, match="overflows"):
             mittag_leffler(0.5, 1.0, 1000.0)  # E ~ 2 e^(10^6)
+        with pytest.raises(MittagLefflerError, match="beta < 1 \\+ alpha"):
+            mittag_leffler(1.0, 2.0, 50.0)  # beta = 1 + alpha away from the closed form
+
+    @pytest.mark.parametrize("z", [-50.0, -400.0])
+    def test_alpha_one_beta_two_closed_form(self, z):
+        assert mittag_leffler(1.0, 2.0, z) == pytest.approx((math.exp(z) - 1.0) / z, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_alpha_validation(self, bad):

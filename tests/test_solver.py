@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwave.elliptic import CoefficientField, Mesh, assemble
-from fracwave.errors import DefectiveClusterError
-from fracwave.fraccalc import TimeGrid, mittag_leffler
+from fracwave.elliptic import CoefficientField, Mesh, as_matrix, assemble
+from fracwave.errors import DefectiveClusterError, NumericsError
+from fracwave.fraccalc import TimeGrid, mittag_leffler, rl_weights
 from fracwave.solver import (
     LaplaceContour,
     SourcePair,
@@ -137,6 +138,95 @@ class TestTimestep:
             np.testing.assert_array_equal(
                 got[:, :, j], solve_timestep(A, column, ALPHA, grid.nodes, grid).states
             )
+
+
+def reference_march(A, source, alpha, times, grid):
+    """The time-stepping march written plainly: ``lu_solve`` and a ``tensordot`` history."""
+    mat = as_matrix(A).astype(float)
+    n, K = mat.shape[0], grid.K
+    w, c0 = rl_weights(alpha, K)
+    kappa0 = grid.dt**alpha / math.gamma(alpha + 2.0)
+    lu = scipy.linalg.lu_factor(np.eye(n) + kappa0 * mat)
+    idx = np.rint(np.asarray(times) / grid.dt).astype(int)
+    a = source.a.reshape(n, -1)
+    b = source.b.reshape(n, -1)
+    states = np.empty((len(idx), n, a.shape[1]))
+    u = np.empty((K + 1, n))
+    gu = np.empty((K + 1, n))  # A u_j, oldest first
+    for j, (aj, bj) in enumerate(zip(a.T, b.T)):
+        u[0] = aj
+        gu[0] = mat @ aj
+        for k in range(1, K + 1):
+            hist = c0[k] * gu[0]
+            if k >= 2:
+                hist = hist + np.tensordot(w[1:k], gu[k - 1:0:-1], axes=1)
+            u[k] = scipy.linalg.lu_solve(lu, aj + bj * grid.nodes[k] - kappa0 * hist)
+            gu[k] = mat @ u[k]
+        states[:, :, j] = u[idx]
+    return states.reshape(len(idx), *source.a.shape)
+
+
+class TestTimestepMarch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        m=st.integers(1, 3),
+        alpha=st.floats(1.05, 1.95),
+        K=st.integers(2, 64),
+        margin=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference_march(self, n, m, alpha, K, margin, seed):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(1.0, K)
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        # kappa0 * ||A|| up to 1.8, below the stability bound at every order in range
+        kappa0 = grid.dt**alpha / math.gamma(alpha + 2.0)
+        A *= 1.8 * margin / (kappa0 * np.linalg.norm(A, np.inf))
+        source = SourcePair(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+        times = grid.nodes[np.sort(rng.choice(K + 1, size=min(K + 1, 5), replace=False))]
+        got = solve_timestep(A, source, alpha, times, grid).states
+        assert np.array_equal(got, reference_march(A, source, alpha, times, grid))
+
+    def test_equals_reference_march_2d(self):
+        # the 2N unit sources of an observation map on the non-square 4x3 grid
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (4, 3))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+        eye = np.eye(mesh.size)
+        source = SourcePair(np.hstack([eye, 0 * eye]), np.hstack([0 * eye, eye]))
+        grid = TimeGrid(1.0, 256)
+        times = grid.nodes[::32]
+        got = solve_timestep(op, source, ALPHA, times, grid).states
+        assert np.array_equal(got, reference_march(op, source, ALPHA, times, grid))
+
+    def test_overflow_raises_numerics_error_at_step_1(self, reference):
+        op, src, _ = reference
+        grid = TimeGrid(1.0, 128)
+        with pytest.raises(NumericsError, match="non-finite state at step 1 of source column 0"):
+            solve_timestep(op, SourcePair(1e308 * src.a, src.b), ALPHA, grid.nodes, grid)
+        block = SourcePair(np.stack([src.a, 1e308 * src.a], axis=1), np.stack([src.b] * 2, 1))
+        with pytest.raises(NumericsError, match="step 1 of source column 1"):
+            solve_timestep(op, block, ALPHA, grid.nodes, grid)
+
+    def test_one_factorization_and_no_lu_solve(self, reference, monkeypatch):
+        op, src, _ = reference
+        factorizations = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            factorizations.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        def per_step_wrapper(*args, **kwargs):
+            raise AssertionError("scipy.linalg.lu_solve called")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", per_step_wrapper)
+        block = SourcePair(np.stack([src.a] * 3, axis=1), np.stack([src.b] * 3, axis=1))
+        grid = TimeGrid(1.0, 64)
+        u = solve_timestep(op, block, ALPHA, grid.nodes, grid)
+        assert u.states.shape == (65, 32, 3)
+        assert factorizations == [(32, 32)]
 
 
 class TestResolvent:
