@@ -3,10 +3,10 @@
 Discretizes the evolution problem  d_t^alpha (u - a - b t) = -A u  with
 1 < alpha < 2 and a (possibly non-symmetric) second-order elliptic operator A
 on a box, and provides the machinery to study it: discrete fractional
-calculus, operator assembly, Riesz spectral projections via resolvent contour
-integrals, three mutually cross-validating forward solvers, and the
-subdomain-observation map with its injectivity analysis and regularized
-inverse source recovery.
+calculus, operator assembly, Riesz spectral projections from eigenvectors or
+resolvent contour integrals, three mutually cross-validating forward solvers,
+and the subdomain-observation map with its injectivity analysis and
+regularized inverse source recovery.
 """
 
 from .elliptic import (

@@ -42,7 +42,13 @@ from .solver import (
     route_difference,
     solve,
 )
-from .spectral import compute_riesz_data, eigendecompose, lemma3_check, verify_identities
+from .spectral import (
+    compute_riesz_data,
+    contour_difference,
+    eigendecompose,
+    lemma3_check,
+    verify_identities,
+)
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "reference_problem"]
 
@@ -68,6 +74,7 @@ class _Reference:
     operator: object
     mesh: Mesh
     source: SourcePair
+    eigsys: object = None
     riesz: object = None
     _observation: ObservationMap | None = field(default=None, repr=False)
 
@@ -93,7 +100,7 @@ def reference_problem() -> _Reference:
         source = SourcePair(np.sin(np.pi * x), x * (1.0 - x))
         eigsys = eigendecompose(op)
         riesz = compute_riesz_data(op, eigsys)
-        _REF = _Reference(op, mesh, source, riesz)
+        _REF = _Reference(op, mesh, source, eigsys, riesz)
     return _REF
 
 
@@ -170,13 +177,15 @@ def criterion_4_spectral_identities() -> CriterionResult:
     J = np.array([[5.0, 1.0], [0.0, 5.0]])
     rdj = compute_riesz_data(J, eigendecompose(J, cluster_tol=1e-6))
     lem = lemma3_check(J, 5.0, rdj.projections[0], rdj.nilpotents[0], np.array([0.0, 1.0]))
-    ok = worst <= tol and lem.residual <= tol and lem.k0 == 2
+    # eigenvector projections of the reference operator against the contour
+    contour = float(contour_difference(ref.operator, ref.eigsys, ref.riesz).max())
+    ok = worst <= tol and lem.residual <= tol and lem.k0 == 2 and contour <= tol
     return CriterionResult(
         4,
         "projection-algebra identities",
         ok,
         "; ".join(pieces) + f"; descent residual (Jordan, k0={lem.k0}): {lem.residual:.2e}"
-        f" (all <= {tol:.0e})",
+        f"; reference contour difference: {contour:.2e} (all <= {tol:.0e})",
     )
 
 

@@ -32,7 +32,13 @@ from .observability import (
     write_singular_values_csv,
 )
 from .solver import LaplaceContour, route_difference, solve
-from .spectral import compute_riesz_data, eigendecompose, verify_identities, write_spectrum_csv
+from .spectral import (
+    compute_riesz_data,
+    contour_difference,
+    eigendecompose,
+    verify_identities,
+    write_spectrum_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,16 +89,18 @@ def _checked(where: str, build, *args, **kwargs):
 
 
 def _riesz_data(op, cfg: ExperimentConfig):
+    """(eigensystem, Riesz data) of the operator under the [spectral] settings."""
     eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-    return _checked(
+    riesz = _checked(
         "[spectral] contour_nodes", compute_riesz_data, op, eigsys, cfg.spectral.contour_nodes
     )
+    return eigsys, riesz
 
 
 def _route_method(cfg: ExperimentConfig, op, route: str, grid: tuple, grid_fields: str):
     """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral."""
     if route == "spectral":
-        return _riesz_data(op, cfg)
+        return _riesz_data(op, cfg)[1]
     if route == "resolvent":
         return _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
     return _checked(grid_fields, TimeGrid, *grid)
@@ -129,10 +137,11 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
-    riesz = _riesz_data(op, cfg)
+    eigsys, riesz = _riesz_data(op, cfg)
     report = verify_identities(op, riesz)
+    diff = contour_difference(op, eigsys, riesz, cfg.spectral.contour_nodes)
     path = os.path.join(outdir, "spectrum.csv")
-    write_spectrum_csv(riesz, report, path)
+    write_spectrum_csv(riesz, report, path, diff)
     _write_manifest(outdir, "spectrum", cfg, [path])
     return EXIT_OK
 

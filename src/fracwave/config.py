@@ -259,6 +259,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     s = cfg.spectral
     s.cluster_tol = _get(parser, "spectral", "cluster_tol", float, None, errors)
+    if s.cluster_tol is not None and not 0 <= s.cluster_tol < np.inf:  # NaN fails too
+        errors.append(
+            f"[spectral] cluster_tol must be a finite nonnegative number or auto, "
+            f"got {s.cluster_tol}"
+        )
     s.contour_nodes = _get(parser, "spectral", "contour_nodes", int, s.contour_nodes, errors)
 
     so = cfg.solver

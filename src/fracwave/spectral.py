@@ -1,12 +1,18 @@
-"""Non-symmetric eigenstructure via resolvent contour integrals.
+"""Non-symmetric eigenstructure: eigenvalue clusters and their Riesz projections.
 
-Clusters the eigenvalues of a general real or complex matrix, computes the
-spectral (Riesz) projection P_n and nilpotent part D_n of each cluster by
-trapezoid quadrature of the resolvent on a circle, and verifies the algebra
-these objects must satisfy:
+Clusters the eigenvalues of a general real or complex matrix and computes the
+spectral (Riesz) projection P_n and nilpotent part D_n of each cluster, then
+verifies the algebra these objects must satisfy:
 
     P_n^2 = P_n,   D_n = (A - lambda_n) P_n,   D_n P_n = P_n D_n,
     D_n^{d_n} P_n = 0,   sum_n P_n = I.
+
+One eigendecomposition with left and right eigenvectors serves every cluster
+that is a single well-conditioned eigenvalue: there P_n = v w^H / (w^H v) and
+D_n = (A - lambda_n) P_n.  Clusters with several members (Jordan blocks,
+repeated eigenvalues) and ill-conditioned simple eigenvalues get P_n and D_n
+by trapezoid quadrature of the resolvent on a circle, which is also the
+cross-check of the eigenvector projections (:func:`contour_difference`).
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -36,31 +42,61 @@ __all__ = [
     "verify_identities",
     "lemma3_check",
     "completeness_defect",
+    "contour_difference",
     "write_spectrum_csv",
 ]
 
 DEFAULT_CONTOUR_NODES = 64
 RANK_TOL = 1e-8
+# largest eigenvalue condition number ||v|| ||w|| / |w^H v| for which a simple
+# cluster's projection comes from its eigenvectors; their error grows with
+# kappa much faster than the contour's (demo operator at b1 = 30, kappa
+# 2.8e5: 3e-6 against 1.2e-10 for the contour)
+KAPPA_MAX = 10.0
 
 
 @dataclass
 class Eigensystem:
-    """Clustered spectrum: centers, contour radii, algebraic multiplicities."""
+    """Clustered spectrum: centers, contour radii, algebraic multiplicities.
+
+    :func:`eigendecompose` also keeps the unit right and left eigenvectors
+    (columns aligned with ``raw_eigenvalues``), each cluster's ``members``
+    (indices into ``raw_eigenvalues``) and its eigenvalue ``condition``
+    number ``||v|| ||w|| / |w^H v|``, which is inf for clusters with several
+    members.  Built without them, every condition reads inf, so
+    :func:`compute_riesz_data` uses the contour for every cluster.
+    """
 
     eigenvalues: np.ndarray  # cluster centers, complex
     radii: np.ndarray
     multiplicities: np.ndarray  # ints, sum equals matrix size
     raw_eigenvalues: np.ndarray = field(repr=False)  # unclustered, length N
     cluster_tol: float = 0.0
+    right_vectors: np.ndarray | None = field(default=None, repr=False)
+    left_vectors: np.ndarray | None = field(default=None, repr=False)
+    members: list | None = field(default=None, repr=False)
+    condition: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.condition is None:
+            self.condition = np.full(len(self.eigenvalues), np.inf)
 
     @property
     def n_clusters(self) -> int:
         return len(self.eigenvalues)
 
+    def uses_eigenvectors(self) -> np.ndarray:
+        """Mask of the clusters whose projection is built from eigenvectors."""
+        return self.condition <= KAPPA_MAX
+
 
 @dataclass
 class RieszData:
-    """Per-cluster projections P_n, nilpotents D_n and numerical ranks d_n."""
+    """Per-cluster projections P_n, nilpotents D_n and numerical ranks d_n.
+
+    Built by :func:`compute_riesz_data`, from eigenvectors or the contour
+    quadrature per cluster; the consumers cannot tell which.
+    """
 
     eigenvalues: np.ndarray
     radii: np.ndarray
@@ -81,7 +117,12 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
-    """Eigenvalues of a general matrix, merged into clusters.
+    """Eigenvalues and eigenvectors of a general matrix, merged into clusters.
+
+    One ``scipy.linalg.eig(left=True)`` call on the matrix as given (LAPACK
+    ``dgeev`` for real input, so conjugate eigenvalues get exactly conjugate
+    vectors) supplies the eigenvalues, the unit right and left eigenvectors
+    and from them each single-member cluster's condition number.
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) become one
     cluster located at their mean, with summed multiplicity.  The contour
@@ -101,7 +142,7 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
         scale = scipy.linalg.norm(mat, 2) if n > 1 else abs(mat[0, 0])
         cluster_tol = 1e-6 * max(scale, 1.0)
     try:
-        raw = scipy.linalg.eigvals(mat)
+        raw, left, right = scipy.linalg.eig(mat, left=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
     groups = _cluster(raw, cluster_tol)
@@ -125,7 +166,16 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
                 f"comparable to its contour radius {rad:.3g}; "
                 f"increase cluster_tol"
             )
-    return Eigensystem(centers, radii, mults, raw, cluster_tol)
+    with np.errstate(divide="ignore"):  # w^H v = 0 is a defective eigenvalue
+        kappa = (
+            np.linalg.norm(right, axis=0)
+            * np.linalg.norm(left, axis=0)
+            / np.abs(np.sum(left.conj() * right, axis=0))
+        )
+    condition = np.array([kappa[g[0]] if len(g) == 1 else np.inf for g in groups])
+    return Eigensystem(
+        centers, radii, mults, raw, cluster_tol, right, left, groups, condition
+    )
 
 
 def riesz_projection(
@@ -187,15 +237,34 @@ def compute_riesz_data(
 ) -> RieszData:
     """Projections and nilpotents for every cluster of an eigensystem.
 
-    Multiplicities are taken as the numerical rank of each P_n (robust under
-    clustering decisions), not from the eigensolver counts.
+    A cluster that is one eigenvalue with condition number at most
+    ``KAPPA_MAX`` gets the rank-one P = v w^H / (w^H v), D = (A - lambda) P
+    and multiplicity 1 from the stored eigenvectors.  Every other cluster
+    gets :func:`riesz_projection` with ``nodes`` quadrature nodes, and its
+    multiplicity is the numerical rank of P_n (robust under clustering
+    decisions), not the eigensolver count.  ``nodes`` is checked up front,
+    also when no cluster needs the contour.
     """
+    if nodes < 1:
+        raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
+    mat = as_matrix(A)
+    clusters = zip(eigsys.eigenvalues, eigsys.radii, eigsys.uses_eigenvectors())
     Ps, Ds, ranks = [], [], []
-    for lam, rad in zip(eigsys.eigenvalues, eigsys.radii):
-        P, D = riesz_projection(A, lam, rad, nodes, eigenvalues=eigsys.raw_eigenvalues)
+    for i, (lam, rad, simple) in enumerate(clusters):
+        if simple:
+            k = eigsys.members[i][0]
+            v = eigsys.right_vectors[:, k].astype(complex)
+            wh = eigsys.left_vectors[:, k].conj()
+            u = wh / (wh @ v)
+            P = np.outer(v, u)
+            D = np.outer(mat @ v - lam * v, u)
+            rank = 1
+        else:
+            P, D = riesz_projection(A, lam, rad, nodes, eigenvalues=eigsys.raw_eigenvalues)
+            rank = max(_numerical_rank(P), 1)
         Ps.append(P)
         Ds.append(D)
-        ranks.append(max(_numerical_rank(P), 1))
+        ranks.append(rank)
     return RieszData(
         eigenvalues=eigsys.eigenvalues.copy(),
         radii=eigsys.radii.copy(),
@@ -309,8 +378,30 @@ def completeness_defect(rd: RieszData) -> float:
     return float(scipy.linalg.norm(acc - np.eye(n), 2))
 
 
-def write_spectrum_csv(rd: RieszData, report: IdentityReport, path) -> None:
-    """Spectrum report: one row per cluster with identity residuals."""
+def contour_difference(
+    A, eigsys: Eigensystem, rd: RieszData, nodes: int = DEFAULT_CONTOUR_NODES
+) -> np.ndarray:
+    """max|P_n - P_contour| per cluster of ``rd = compute_riesz_data(A, eigsys, nodes)``.
+
+    Recomputes by :func:`riesz_projection` the projections that were built
+    from eigenvectors, so the two constructions check each other.  Clusters
+    already built by the contour read 0 and are not recomputed, so the
+    quadrature runs exactly once per cluster over both calls.
+    """
+    diff = np.zeros(eigsys.n_clusters)
+    for i in np.flatnonzero(eigsys.uses_eigenvectors()):
+        P, _ = riesz_projection(
+            A, eigsys.eigenvalues[i], eigsys.radii[i], nodes, eigenvalues=eigsys.raw_eigenvalues
+        )
+        diff[i] = _maxabs(P - rd.projections[i])
+    return diff
+
+
+def write_spectrum_csv(
+    rd: RieszData, report: IdentityReport, path, contour_diff: np.ndarray
+) -> None:
+    """Spectrum report: one row per cluster with identity residuals and the
+    :func:`contour_difference` of its projection."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -323,6 +414,7 @@ def write_spectrum_csv(rd: RieszData, report: IdentityReport, path) -> None:
                 "res_nilpotent_form",
                 "res_commute",
                 "res_nilpotency",
+                "contour_difference",
             ]
         )
         for i in range(rd.n_clusters):
@@ -337,5 +429,6 @@ def write_spectrum_csv(rd: RieszData, report: IdentityReport, path) -> None:
                     f"{report.res_nilpotent_form[i]:.6g}",
                     f"{report.res_commute[i]:.6g}",
                     f"{report.res_nilpotency[i]:.6g}",
+                    f"{contour_diff[i]:.6g}",
                 ]
             )

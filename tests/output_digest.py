@@ -1,6 +1,7 @@
 """SHA-256 digests of everything the usual command-line runs produce.
 
     python tests/output_digest.py OUTDIR [--threads N]
+    python tests/output_digest.py --compare PARENT_OUTDIR CHANGE_OUTDIR
 
 Runs, each in a fresh interpreter with the program from this checkout's
 ``src/``:
@@ -16,11 +17,20 @@ stderr and exit code, and writes only into OUTDIR (configs, outputs), which
 must not exist yet.  BLAS and OpenMP run on ``--threads`` threads (default 1;
 0 leaves the environment's setting).  Running it on two checkouts and
 diffing the printed lines shows whether their outputs are byte-identical.
+
+``--compare`` reads two such OUTDIRs, made from two checkouts, and prints
+for every output file whose bytes differ one line per CSV column or JSON
+key (lists count one value per element): how many values changed, and for
+numeric values the largest absolute and relative difference.  Files and
+columns present on one side only are named.  Stdout, stderr and exit codes
+are not kept as files; compare them by the digest lines.
 """
 
 import argparse
 import configparser
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -59,11 +69,88 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _leaves(value, key: str, columns: dict) -> None:
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _leaves(v, f"{key}.{k}" if key else str(k), columns)
+    elif isinstance(value, list):
+        for v in value:
+            _leaves(v, key, columns)
+    else:
+        columns.setdefault(key, []).append(value)
+
+
+def columns_of(path: Path) -> dict:
+    """Column name -> list of values, for a CSV (by header) or JSON file (by key path)."""
+    if path.suffix == ".json":
+        columns: dict = {}
+        _leaves(json.loads(path.read_text(encoding="utf-8")), "", columns)
+        return columns
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return {}
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _number(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def column_change(old: list, new: list) -> str:
+    """'changed k/n' with the max abs and rel difference of the numeric values."""
+    if len(old) != len(new):
+        return f"{len(old)} values -> {len(new)}"
+    changed = [(a, b) for a, b in zip(old, new) if a != b]
+    line = f"changed {len(changed)}/{len(old)}"
+    pairs = [(_number(a), _number(b)) for a, b in changed]
+    numeric = [(a, b) for a, b in pairs if a is not None and b is not None]
+    if numeric:
+        diff = [abs(a - b) for a, b in numeric]
+        rel = [d / max(abs(a), abs(b)) for d, (a, b) in zip(diff, numeric)]
+        line += f"  max_abs {max(diff):.3g}  max_rel {max(rel):.3g}"
+    if len(numeric) < len(changed):
+        line += f"  non-numeric {len(changed) - len(numeric)}"
+    return line
+
+
+def compare(parent: Path, change: Path) -> None:
+    names = sorted(
+        {p.relative_to(root) for root in (parent, change) for p in root.glob("*/*")}
+    )
+    identical = 0
+    for name in names:
+        old, new = parent / name, change / name
+        if not (old.is_file() and new.is_file()):
+            print(f"{name}  only in {'parent' if old.is_file() else 'change'}")
+            continue
+        if old.read_bytes() == new.read_bytes():
+            identical += 1
+            continue
+        before, after = columns_of(old), columns_of(new)
+        for column in dict.fromkeys([*before, *after]):
+            if column not in after or column not in before:
+                side = "parent" if column in before else "change"
+                print(f"{name}  {column}  only in {side}")
+            elif before[column] != after[column]:
+                print(f"{name}  {column}  {column_change(before[column], after[column])}")
+    print(f"{identical} of {len(names)} files byte-identical")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("outdir", type=Path)
+    ap.add_argument("outdir", type=Path, nargs="?")
     ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("PARENT", "CHANGE"))
     args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.outdir is None:
+        ap.error("OUTDIR is required unless --compare is given")
     outdir = args.outdir.resolve()
     outdir.mkdir(parents=True)
     write_configs(outdir)

@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracwave.solver
+import fracwave.spectral
 from fracwave.cli import main
 from fracwave.fraccalc import mittag_leffler
 
@@ -60,6 +62,10 @@ times = geometric:40:1e-3
 [inversion]
 reg_scale = 1e-10
 """
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_IN = {"demo": ROOT / "configs" / "demo.ini", "riesz2d": ROOT / "bench" / "riesz2d.ini"}
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -148,6 +154,22 @@ class TestSpectrum:
         h = 1.0 / 9.0
         k = np.arange(1, 9)
         np.testing.assert_allclose(got, (2 / h**2) * (1 - np.cos(k * np.pi * h)), rtol=1e-9)
+
+    def test_contour_runs_once_per_cluster_and_agrees(self, tmp_path, monkeypatch):
+        calls = []
+        original = fracwave.spectral.riesz_projection
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracwave.spectral, "riesz_projection", counted)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(CHECKED_IN["demo"]), "--out", str(out)]) == 0
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(calls) == len(rows) == 32
+        assert max(float(r["contour_difference"]) for r in rows) <= 1e-12
 
     def test_empty_mesh_config_error(self, tmp_path):
         cfg = write(tmp_path, "[problem]\ninterior = 0\n")
@@ -250,6 +272,15 @@ class TestConfigErrors:
             ),
             ("simulate", "K = 1\n", "[problem] T, K"),
             ("spectrum", "\n[spectral]\ncontour_nodes = 0\n", "[spectral] contour_nodes"),
+            (
+                "simulate",
+                "\n[spectral]\ncontour_nodes = 0\n\n[solver]\nroutes = spectral\n",
+                "[spectral] contour_nodes",
+            ),
+            ("observability", "\n[spectral]\ncontour_nodes = 0\n", "[spectral] contour_nodes"),
+            ("spectrum", "\n[spectral]\ncluster_tol = inf\n", "[spectral] cluster_tol"),
+            ("simulate", "\n[spectral]\ncluster_tol = -1\n", "[spectral] cluster_tol"),
+            ("observability", "\n[spectral]\ncluster_tol = nan\n", "[spectral] cluster_tol"),
             ("invert", "\n[inversion]\nnoise = -0.001\n", "[inversion] noise"),
             ("invert", "\n[inversion]\nreg_scale = -1\n", "[inversion] reg_scale"),
             (
@@ -267,6 +298,11 @@ class TestConfigErrors:
             "odd-talbot-nodes",
             "one-time-step",
             "no-contour-nodes",
+            "no-contour-nodes-simulate",
+            "no-contour-nodes-observability",
+            "infinite-cluster-tol",
+            "negative-cluster-tol",
+            "nan-cluster-tol",
             "negative-noise",
             "negative-reg-scale",
             "zero-tsvd-rank",
@@ -290,6 +326,18 @@ class TestConfigErrors:
         text = self.BASE + "K = 1\n\n[solver]\nroutes = spectral\ntalbot_nodes = 3\n"
         cfg = write(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "observability", "invert"])
+@pytest.mark.parametrize("config", sorted(CHECKED_IN))
+def test_checked_in_configs_need_no_contour(tmp_path, monkeypatch, command, config):
+    # every cluster of these operators is simple and well conditioned
+    def no_contour(*args, **kwargs):
+        raise AssertionError("contour quadrature ran")
+
+    monkeypatch.setattr(fracwave.spectral, "riesz_projection", no_contour)
+    argv = [command, "--config", str(CHECKED_IN[config]), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
 
 
 class TestNumericalFailures:

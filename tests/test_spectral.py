@@ -2,12 +2,15 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwave import spectral
 from fracwave.elliptic import CoefficientField, Mesh, assemble
 from fracwave.errors import ContourError, NumericsError
 from fracwave.spectral import (
+    DEFAULT_CONTOUR_NODES,
     completeness_defect,
     compute_riesz_data,
     eigendecompose,
@@ -162,6 +165,112 @@ class TestRieszProjection:
         assert rd.multiplicities[0] == 3
 
 
+def contour_projection(A, es, i):
+    """Cluster i's projection by quadrature, as compute_riesz_data would call it."""
+    P, _ = riesz_projection(
+        A, es.eigenvalues[i], es.radii[i], DEFAULT_CONTOUR_NODES, eigenvalues=es.raw_eigenvalues
+    )
+    return P
+
+
+def assert_constructions_agree(A, es, rd):
+    """Eigenvector projections match the contour; contour-built ones are its own bits."""
+    for i, P in enumerate(rd.projections):
+        ref = contour_projection(A, es, i)
+        if len(es.members[i]) > 1:
+            assert np.array_equal(P, ref)
+        else:
+            assert np.max(np.abs(P - ref)) <= 1e-10 * max(1.0, np.linalg.norm(P, 2))
+
+
+@st.composite
+def diagonalizable_matrices(draw):
+    """S B S^-1 with B real block diagonal (integer spectrum) and cond(S) <= 10."""
+    pairs = draw(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 4)), max_size=3, unique=True)
+    )
+    reals = draw(
+        st.lists(st.integers(-6, 6), min_size=0 if pairs else 2, max_size=11 - 2 * len(pairs))
+    )
+    if reals and draw(st.booleans()):
+        reals.append(reals[0])  # a repeated, semisimple eigenvalue
+    blocks = [np.array([[a, b], [-b, a]], dtype=float) for a, b in pairs]
+    B = scipy.linalg.block_diag(np.diag(np.array(reals, dtype=float)), *blocks)
+    n = B.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = U @ np.diag(np.geomspace(1.0, draw(st.floats(1.0, 10.0)), n)) @ V.T
+    return S @ B @ np.linalg.inv(S)
+
+
+class TestTwoConstructions:
+    """Eigenvector projections for simple clusters, the contour for the rest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=diagonalizable_matrices())
+    def test_agree_on_random_diagonalizable_matrices(self, A):
+        es = eigendecompose(A)
+        rd = compute_riesz_data(A, es)
+        assert_constructions_agree(A, es, rd)
+        assert verify_identities(A, rd).passed
+
+    def test_ill_conditioned_simple_clusters_use_the_contour(self):
+        # strong advection: eigenvalue condition numbers 1.2e4-2.8e5, where
+        # eigenvector projections err by ~4e-6
+        mesh = Mesh((0.0,), (1.0,), (32,))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=30.0))
+        es = eigendecompose(op)
+        rd = compute_riesz_data(op, es)
+        for i, P in enumerate(rd.projections):
+            assert np.max(np.abs(P - contour_projection(op, es, i))) <= 1e-9
+
+    def test_square_grid_mixes_both_constructions(self, monkeypatch):
+        # without advection the symmetric modes (j, k) and (k, j) coincide
+        mesh = Mesh((0.0, 0.0), (1.0, 1.0), (4, 4))
+        op = assemble(mesh, CoefficientField.from_callables(mesh))
+        es = eigendecompose(op)
+        calls = []
+        original = spectral.riesz_projection
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "riesz_projection", counted)
+        rd = compute_riesz_data(op, es)
+        monkeypatch.undo()
+        multi = np.flatnonzero(es.multiplicities > 1)
+        assert 0 < len(multi) < es.n_clusters
+        np.testing.assert_array_equal(calls, es.eigenvalues[multi])
+        np.testing.assert_array_equal(rd.multiplicities, es.multiplicities)
+        assert_constructions_agree(op, es, rd)
+        assert verify_identities(op, rd).passed
+
+    def test_nodes_checked_without_contour_clusters(self):
+        es = eigendecompose(np.diag([1.0, 2.0]), cluster_tol=1e-8)
+        assert es.uses_eigenvectors().all()
+        with pytest.raises(ValueError, match="at least 1 node"):
+            compute_riesz_data(np.diag([1.0, 2.0]), es, nodes=0)
+
+    def test_hand_built_eigensystem_uses_the_contour(self):
+        A = np.diag([1.0, 2.0])
+        es = eigendecompose(A, cluster_tol=1e-8)
+        bare = spectral.Eigensystem(es.eigenvalues, es.radii, es.multiplicities, es.raw_eigenvalues)
+        rd = compute_riesz_data(A, bare)
+        for i, P in enumerate(rd.projections):
+            assert np.array_equal(P, contour_projection(A, es, i))
+
+    def test_contour_difference_only_recomputes_eigenvector_clusters(self, advection_operator):
+        es = eigendecompose(advection_operator)
+        rd = compute_riesz_data(advection_operator, es)
+        diff = spectral.contour_difference(advection_operator, es, rd)
+        assert diff.shape == (es.n_clusters,) and diff.max() < 1e-12
+        J = jordan(2.0, 3)
+        esj = eigendecompose(J, cluster_tol=1e-5)
+        assert spectral.contour_difference(J, esj, compute_riesz_data(J, esj)).tolist() == [0.0]
+
+
 class TestIdentities:
     def test_advection_operator_residuals(self, advection_operator):
         rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
@@ -227,7 +336,7 @@ def test_spectrum_csv(tmp_path, advection_operator):
     rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
     rep = verify_identities(advection_operator, rd)
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(rd, rep, path)
+    write_spectrum_csv(rd, rep, path, np.zeros(rd.n_clusters))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == rd.n_clusters
