@@ -143,6 +143,15 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     path = os.path.join(outdir, "spectrum.csv")
     write_spectrum_csv(riesz, report, path, diff)
     _write_manifest(outdir, "spectrum", cfg, [path])
+    if not report.passed:
+        # spectrum.csv is written first: it is the diagnosis
+        name, i, value = report.worst_entry()
+        where = "" if i is None else f" at the cluster {riesz.eigenvalues[i]:.6g}"
+        raise NumericsError(
+            f"Riesz projections fail their identities: {name} {value:.3g}{where} "
+            f"exceeds {report.tol:.3g}; the spectral route is unreliable for this "
+            f"operator, use the time-stepping route (routes = timestep)"
+        )
     return EXIT_OK
 
 

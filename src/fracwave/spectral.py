@@ -12,7 +12,10 @@ that is a single well-conditioned eigenvalue: there P_n = v w^H / (w^H v) and
 D_n = (A - lambda_n) P_n.  Clusters with several members (Jordan blocks,
 repeated eigenvalues) and ill-conditioned simple eigenvalues get P_n and D_n
 by trapezoid quadrature of the resolvent on a circle, which is also the
-cross-check of the eigenvector projections (:func:`contour_difference`).
+cross-check of the eigenvector projections (:func:`contour_difference`).  The
+quadrature solves all its nodes in one stacked solve, and for a real matrix
+and a real center only the upper half of the circle, the lower half being
+its complex conjugate.
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -188,16 +191,25 @@ def riesz_projection(
     """Spectral projection P and nilpotent D of the cluster inside a circle.
 
     Trapezoid rule on the circle |z - lam| = radius, spectrally accurate for
-    the analytic resolvent; each node costs one linear solve with N right-hand
-    sides.  When ``eigenvalues`` is supplied, nodes too close to the spectrum
-    raise :class:`ContourError` with the offending distance.
+    the analytic resolvent (Trefethen & Weideman, SIAM Rev. 56, 2014): with
+    nodes z_k = lam + radius e^{i theta_k}, theta_k = 2 pi (k + 1/2) / nodes,
+    and weights w_k = radius e^{i theta_k} / nodes,
+
+        P = sum_k w_k R(z_k),   D = sum_k w_k (z_k - lam) R(z_k),
+
+    where R(z) = (z I - A)^{-1}.  For real A and real lam, R(conj z) =
+    conj R(z) and node k pairs with node nodes-1-k, so only the nodes with
+    theta_k in (0, pi] are solved: each pair counts twice and the real part
+    is kept (for odd ``nodes`` the single node at theta = pi counts once).
+    All kept nodes go through one stacked solve.  P and D are complex either
+    way.  When ``eigenvalues`` is supplied, a circle too close to the
+    spectrum raises :class:`ContourError` with the offending distance; a
+    singular node raises it too.
     """
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
-    mat = as_matrix(A).astype(complex)
+    mat = as_matrix(A)
     n = mat.shape[0]
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    zs = lam + radius * np.exp(1j * theta)
     if eigenvalues is not None:
         # distance of the circle itself (not just the quadrature nodes) to the
         # spectrum: an eigenvalue on or near the contour invalidates the integral
@@ -207,19 +219,26 @@ def riesz_projection(
                 f"contour around {lam:.6g} (radius {radius:.3g}) passes within "
                 f"{dist:.3g} of the spectrum"
             )
-    eye = np.eye(n, dtype=complex)
-    P = np.zeros((n, n), dtype=complex)
-    D = np.zeros((n, n), dtype=complex)
-    for z, th in zip(zs, theta):
-        try:
-            res = scipy.linalg.solve(z * eye - mat, eye)
-        except scipy.linalg.LinAlgError as exc:
-            raise ContourError(
-                f"resolvent solve singular at contour node z={z:.6g}"
-            ) from exc
-        w = radius * np.exp(1j * th) / nodes
-        P += w * res
-        D += w * (z - lam) * res
+    conjugate = np.isrealobj(mat) and np.imag(lam) == 0
+    k = np.arange((nodes + 1) // 2 if conjugate else nodes)
+    phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
+    zs = lam + radius * phase
+    w = radius * phase / nodes
+    if conjugate:
+        w[: nodes // 2] *= 2.0  # the mirror node's conjugate term
+    eye = np.eye(n)
+    # numpy < 2 would read an (n, n) right-hand side as a stack of vectors
+    rhs = np.broadcast_to(eye, (len(k), n, n))
+    try:
+        res = np.linalg.solve(zs[:, None, None] * eye - mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ContourError(
+            f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"
+        ) from exc
+    P = np.tensordot(w, res, axes=1)
+    D = np.tensordot(w * (zs - lam), res, axes=1)
+    if conjugate:
+        P, D = P.real.astype(complex), D.real.astype(complex)
     return P, D
 
 
@@ -295,6 +314,16 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return bool(self.worst <= self.tol)
+
+    def worst_entry(self) -> tuple[str, int | None, float]:
+        """(residual name, cluster index, value) of the largest residual; the
+        index is None when the completeness defect is the largest."""
+        names = ("res_idempotent", "res_nilpotent_form", "res_commute", "res_nilpotency")
+        table = np.array([getattr(self, name) for name in names])
+        row, col = np.unravel_index(np.argmax(table), table.shape)  # NaN counts as largest
+        if self.completeness > table[row, col]:
+            return "completeness", None, self.completeness
+        return names[row], int(col), float(table[row, col])
 
 
 def _maxabs(M: np.ndarray) -> float:

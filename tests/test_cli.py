@@ -175,6 +175,35 @@ class TestSpectrum:
         cfg = write(tmp_path, "[problem]\ninterior = 0\n")
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_failed_identities_exit_2_after_writing_the_report(self, tmp_path, capsys):
+        # strong advection: eigenvalue condition numbers far beyond what the
+        # contour quadrature resolves in double precision
+        text = CHECKED_IN["demo"].read_text().replace("b1 = 1\n", "b1 = 60\n")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "time-stepping route" in err
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 32
+        assert max(float(r["res_idempotent"]) for r in rows) > 1e-8
+
+    def test_non_square_2d_advection_grid(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            "[problem]\ndimension = 2\ndomain = 0 1 0 0.7\ninterior = 4 3\n"
+            "a11 = 1\na22 = 1\nb1 = 1\nb2 = 0.5\n",
+        )
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(int(r["multiplicity"]) for r in rows) == 12
+        assert max(float(r["contour_difference"]) for r in rows) <= 1e-12
+        residuals = ("res_idempotent", "res_nilpotent_form", "res_commute", "res_nilpotency")
+        assert max(float(r[k]) for r in rows for k in residuals) <= 1e-8
+
 
 class TestObservability:
     def test_full_domain_verdict(self, tmp_path):

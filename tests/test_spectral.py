@@ -164,6 +164,91 @@ class TestRieszProjection:
         rd = compute_riesz_data(jordan(2.0, 3), eigendecompose(jordan(2.0, 3), cluster_tol=1e-5))
         assert rd.multiplicities[0] == 3
 
+    def test_singular_node_raises_contour_error(self):
+        # nodes = 2 puts a node at lam + radius e^{i pi/2}; a complex matrix
+        # keeps both nodes, and no eigenvalues are passed, so only the solve sees it
+        node = 0.0 + 1.0 * np.exp(1j * (2.0 * np.pi * 0.5 / 2))
+        A = np.diag([node, 5.0 + 0j])
+        with pytest.raises(ContourError, match=r"around 0 \(radius 1\)"):
+            riesz_projection(A, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("A, lam, solved", [
+        (np.diag([1.0, 2.0]), 1.0, 32),  # real matrix, real center: half the nodes
+        (np.diag([1.0, 2.0]), 1.0 + 0.1j, 64),
+        (np.diag([1.0, 2.0]).astype(complex), 1.0, 64),
+    ])
+    def test_one_stacked_solve(self, monkeypatch, A, lam, solved):
+        stacks = []
+        original = np.linalg.solve
+
+        def counted(a, b):
+            stacks.append(a.shape)
+            return original(a, b)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-node scipy.linalg.solve call")
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+        riesz_projection(A, lam, 0.4, 64)
+        assert stacks == [(solved, 2, 2)]
+
+
+def reference_contour(A, lam, radius, nodes):
+    """The plain trapezoid sum: one scipy.linalg.solve per node, all nodes."""
+    mat = np.asarray(A).astype(complex)
+    n = mat.shape[0]
+    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    eye = np.eye(n, dtype=complex)
+    P = np.zeros((n, n), dtype=complex)
+    D = np.zeros((n, n), dtype=complex)
+    for th in theta:
+        z = lam + radius * np.exp(1j * th)
+        res = scipy.linalg.solve(z * eye - mat, eye)
+        w = radius * np.exp(1j * th) / nodes
+        P += w * res
+        D += w * (z - lam) * res
+    return P, D
+
+
+@st.composite
+def contour_problems(draw):
+    """(A, lam, radius, nodes): small real or complex A, circle well off its spectrum."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        A = A + 1j * rng.standard_normal((n, n))
+    eig = np.linalg.eigvals(A)
+    lam = complex(eig[draw(st.integers(0, n - 1))].real, 0.0)
+    if draw(st.booleans()):
+        lam += 1j * draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1, 1]))
+    # a radius inside a gap of at least 0.4 between the spectrum's distances
+    # to lam: a node near an eigenvalue would magnify rounding in both sums
+    dist = np.concatenate([[0.0], np.sort(np.abs(eig - lam)), [np.abs(eig - lam).max() + 2.0]])
+    gaps = [(lo, hi) for lo, hi in zip(dist[:-1], dist[1:]) if hi - lo >= 0.4]
+    lo, hi = draw(st.sampled_from(gaps))
+    radius = lo + (hi - lo) * draw(st.floats(0.25, 0.75))
+    nodes = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 80)))
+    return A, lam, radius, nodes
+
+
+class TestHalvedBatchedQuadrature:
+    """riesz_projection against the per-node reference sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=contour_problems())
+    def test_matches_reference_loop(self, problem):
+        A, lam, radius, nodes = problem
+        P, D = riesz_projection(A, lam, radius, nodes)
+        P_ref, D_ref = reference_contour(A, lam, radius, nodes)
+        scale = max(1.0, np.max(np.abs(P_ref)))
+        assert P.dtype == D.dtype == complex and P.shape == D.shape == A.shape
+        if np.isrealobj(A) and lam.imag == 0:
+            assert not P.imag.any() and not D.imag.any()
+        assert np.max(np.abs(P - P_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(D - D_ref)) <= 1e-12 * scale
+
 
 def contour_projection(A, es, i):
     """Cluster i's projection by quadrature, as compute_riesz_data would call it."""
