@@ -42,8 +42,6 @@ from .observability import (
     build_observation_map,
     injectivity_report,
     invert_source,
-    projection_cascade_check,
-    resolvent_vanishing_check,
     synthesize_observations,
 )
 from .solver import (

@@ -157,6 +157,10 @@ class ExperimentConfig:
         try:
             if spec.startswith("uniform:"):
                 count = int(spec.split(":")[1])
+                if count < 1:
+                    raise ConfigError(
+                        f"[observation] times: {spec!r} needs a count of at least 1"
+                    )
                 return np.arange(1, count + 1) * (horizon / count)
             if spec.startswith("geometric:"):
                 parts = spec.split(":")
@@ -249,10 +253,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if not 1.0 < p.alpha < 2.0:
         errors.append(f"[problem] alpha must lie in (1, 2), got {p.alpha}")
     p.T = _get(parser, "problem", "T", float, p.T, errors)
-    if not p.T > 0:
-        errors.append(f"[problem] T must be positive, got {p.T}")
+    if not 0 < p.T < np.inf:  # NaN fails too
+        errors.append(f"[problem] T must be positive and finite, got {p.T}")
     p.K = _get(parser, "problem", "K", int, p.K, errors)
     p.jordan_size = _get(parser, "problem", "jordan_size", int, p.jordan_size, errors)
+    if p.jordan_size < 1:
+        errors.append(f"[problem] jordan_size must be at least 1, got {p.jordan_size}")
     p.jordan_lambda = _get(parser, "problem", "jordan_lambda", float, p.jordan_lambda, errors)
     if p.kind not in ("elliptic", "jordan"):
         errors.append(f"[problem] kind must be elliptic or jordan, got {p.kind!r}")
@@ -275,6 +281,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     o.omega = _get(parser, "observation", "omega", _floats, o.omega, errors)
     o.times = _get(parser, "observation", "times", str, o.times, errors)
     o.horizon = _get(parser, "observation", "horizon", float, None, errors)
+    if o.horizon is not None and not 0 < o.horizon < np.inf:
+        errors.append(f"[observation] horizon must be positive and finite, got {o.horizon}")
     o.route = _get(parser, "observation", "route", str, o.route, errors)
     if o.route not in _ROUTES:
         errors.append(f"[observation] route must be one of {_ROUTES}, got {o.route!r}")

@@ -10,12 +10,10 @@ solution on an arbitrary subdomain determines the data pair: trivial kernel
 (sigma_min > 0, numerical rank 2N) is the finite-dimensional shadow of the
 uniqueness statement for the continuum problem.
 
-The module also carries the proof-pipeline probes: the resolvent-vanishing
-map a -> (A - z)^(-1) a |_omega over many shifts, the projection cascade that
-descends D_n^l P_n a down to P_n a, and the branch identity that links the
+Discrete unique continuation is treated as an empirical property: the map's
+numerical rank (:func:`injectivity_report`) measures it instead of assuming
+it.  The module also carries the branch-identity probe, which links the
 resolvents of a and b through the fractional power (-eta)^(1/alpha).
-Discrete unique continuation is treated as an empirical property throughout:
-the cascade measures it and flags violations instead of assuming it.
 """
 
 from __future__ import annotations
@@ -39,20 +37,13 @@ __all__ = [
     "ObservationMap",
     "ProbeVector",
     "InjectivityReport",
-    "VanishingReport",
-    "CascadeClusterReport",
-    "CascadeReport",
     "BranchSample",
     "InversionResult",
     "build_observation_map",
     "injectivity_report",
-    "resolvent_vanishing_check",
-    "projection_cascade_check",
     "branch_identity_probe",
     "invert_source",
     "synthesize_observations",
-    "chebyshev_segment",
-    "default_shift_samples",
     "write_singular_values_csv",
     "write_recovery_csv",
 ]
@@ -84,6 +75,8 @@ class ObservationSetup:
             raise ValueError("observation subdomain is empty")
         if self.sample_times.size == 0:
             raise ValueError("no sample times")
+        if not np.all(np.isfinite(self.sample_times)):
+            raise ValueError("sample times must be finite")
         if np.any(self.sample_times <= 0.0) or np.any(np.diff(self.sample_times) <= 0.0):
             raise ValueError("sample times must be strictly increasing and positive")
 
@@ -181,182 +174,6 @@ def injectivity_report(obsmap: ObservationMap) -> InjectivityReport:
 
 
 # ---------------------------------------------------------------------------
-# Resolvent-vanishing map and projection cascade
-# ---------------------------------------------------------------------------
-
-
-def chebyshev_segment(count: int, lo: float, hi: float) -> np.ndarray:
-    """Chebyshev points on [lo, hi], ascending (well-conditioned resolvents)."""
-    k = np.arange(count)
-    x = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
-
-
-def default_shift_samples(A, count: int) -> np.ndarray:
-    """Chebyshev-spaced real shifts on a segment left of the spectrum."""
-    eig = np.linalg.eigvals(as_matrix(A))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    right = float(np.min(eig.real)) - 0.01 * scale
-    left = right - 2.0 * scale
-    return chebyshev_segment(count, left, right)
-
-
-@dataclass
-class VanishingReport:
-    """Stacked restricted-resolvent map a -> [(A - z_k)^(-1) a]|_omega."""
-
-    matrix: np.ndarray = field(repr=False)
-    singular_values: np.ndarray = None
-    shifts: np.ndarray = None
-
-    @property
-    def sigma_min(self) -> float:
-        rows, cols = self.matrix.shape
-        if rows < cols:
-            return 0.0  # underdetermined: genuine kernel
-        return float(self.singular_values[-1])
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.singular_values[0])
-
-    def kernel_vector(self, rel_tol: float = 1e-10) -> np.ndarray | None:
-        """Unit kernel vector when the map is numerically non-injective."""
-        if self.sigma_min > rel_tol * max(self.sigma_max, 1e-300):
-            return None
-        rows, cols = self.matrix.shape
-        if rows < cols:
-            null = scipy.linalg.null_space(self.matrix)
-            return np.ascontiguousarray(null[:, 0])
-        _, _, vt = scipy.linalg.svd(self.matrix, full_matrices=False)
-        return vt[-1].conj()
-
-
-def resolvent_vanishing_check(A, omega_indices, z_samples) -> VanishingReport:
-    """sigma_min of the stacked map; positive means trivial kernel.
-
-    A trivial kernel is the discrete shadow of the statement that data whose
-    resolvent vanishes on omega for every shift must vanish everywhere.
-    """
-    mat = as_matrix(A).astype(complex)
-    n = mat.shape[0]
-    omega = np.asarray(omega_indices, dtype=int)
-    zs = np.atleast_1d(np.asarray(z_samples, dtype=complex))
-    if zs.size == 0:
-        raise ValueError("need at least one shift sample")
-    eig = np.linalg.eigvals(mat)
-    dist = np.min(np.abs(zs[:, None] - eig[None, :]))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if dist < 1e-8 * scale:
-        raise ContourError(
-            f"shift sample within {dist:.3g} of the spectrum; move the segment"
-        )
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for z in zs:
-        res = scipy.linalg.solve(mat - z * eye, eye)
-        blocks.append(res[omega, :])
-    stacked = np.vstack(blocks)
-    s = scipy.linalg.svdvals(stacked)
-    return VanishingReport(matrix=stacked, singular_values=s, shifts=zs)
-
-
-@dataclass
-class CascadeClusterReport:
-    eigenvalue: complex
-    multiplicity: int
-    projection_norm: float  # ||P_n a|| over the whole domain
-    max_omega_residual: float  # max_l ||(D^l P_n a)|_omega||
-    descent_residuals: list  # ||(A - lam) D^l P_n a|| for l = d-1 .. 0
-    uc_violation: bool  # nonzero in Omega while ~0 on omega at some level
-
-
-@dataclass
-class CascadeReport:
-    vacuous: bool
-    note: str
-    clusters: list = field(default_factory=list)
-    kernel_sigma_min: float | None = None
-
-    @property
-    def any_uc_violation(self) -> bool:
-        return any(c.uc_violation for c in self.clusters)
-
-
-def projection_cascade_check(
-    A,
-    riesz: RieszData,
-    a: np.ndarray | None,
-    omega_indices,
-    tol: float = 1e-8,
-    z_samples=None,
-) -> CascadeReport:
-    """Descend D_n^l P_n a toward P_n a for a vector invisible from omega.
-
-    When ``a`` is None, a kernel vector of the stacked restricted-resolvent
-    map is sought (shift samples default to a Chebyshev segment left of the
-    spectrum).  If that map has a trivial kernel the cascade is vacuous - the
-    positive result - and the report says so.  Otherwise the cascade verifies
-    per cluster that the chain vectors vanish on omega, that the descent
-    identities hold in the whole domain, and reports any level where discrete
-    unique continuation fails (vector ~0 on omega yet not in Omega).
-    """
-    mat = as_matrix(A).astype(complex)
-    n = mat.shape[0]
-    omega = np.asarray(omega_indices, dtype=int)
-    sigma_min = None
-    if a is None:
-        if z_samples is None:
-            z_samples = default_shift_samples(mat, 2 * n)
-        rep = resolvent_vanishing_check(mat, omega, z_samples)
-        sigma_min = rep.sigma_min
-        a = rep.kernel_vector()
-        if a is None:
-            return CascadeReport(
-                vacuous=True,
-                note=(
-                    "no kernel vector exists: stacked resolvent map has "
-                    f"sigma_min = {rep.sigma_min:.3g} > 0"
-                ),
-                kernel_sigma_min=sigma_min,
-            )
-    a = np.asarray(a, dtype=complex)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    clusters = []
-    for lam, P, D, d in zip(
-        riesz.eigenvalues, riesz.projections, riesz.nilpotents, riesz.multiplicities
-    ):
-        d = int(d)
-        chain = [P @ a]
-        for _ in range(1, d):
-            chain.append(D @ chain[-1])
-        omega_res = max(float(np.linalg.norm(v[omega])) for v in chain)
-        descent = []
-        shift = mat - lam * np.eye(n)
-        for v in reversed(chain):  # l = d-1 down to 0
-            descent.append(float(np.linalg.norm(shift @ v)) if d > 0 else 0.0)
-        # descent residual at the top level is ||D^d P a|| ~ 0 by nilpotency;
-        # lower levels equal the norm of the next chain vector by construction
-        pnorm = float(np.linalg.norm(chain[0]))
-        violation = bool(
-            pnorm > tol * scale and omega_res <= tol * scale
-        )
-        clusters.append(
-            CascadeClusterReport(
-                eigenvalue=complex(lam),
-                multiplicity=d,
-                projection_norm=pnorm,
-                max_omega_residual=omega_res,
-                descent_residuals=descent,
-                uc_violation=violation,
-            )
-        )
-    return CascadeReport(
-        vacuous=False, note="", clusters=clusters, kernel_sigma_min=sigma_min
-    )
-
-
-# ---------------------------------------------------------------------------
 # Branch identity probe
 # ---------------------------------------------------------------------------
 
@@ -384,14 +201,6 @@ class ProbeVector:
     def canonical(cls, n: int, omega_indices, position: int = 0) -> "ProbeVector":
         v = np.zeros(n)
         v[np.asarray(omega_indices, dtype=int)[position]] = 1.0
-        return cls(v, omega_indices)
-
-    @classmethod
-    def random(cls, n: int, omega_indices, seed: int = 0) -> "ProbeVector":
-        rng = np.random.default_rng(seed)
-        v = np.zeros(n)
-        idx = np.asarray(omega_indices, dtype=int)
-        v[idx] = rng.standard_normal(idx.size)
         return cls(v, omega_indices)
 
 

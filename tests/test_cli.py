@@ -317,6 +317,23 @@ class TestConfigErrors:
                 "\n[inversion]\nmethod = tsvd\ntsvd_rank = 0\n",
                 "[inversion] tsvd_rank",
             ),
+            ("observability", "\n[observation]\ntimes = uniform:0\n", "[observation] times"),
+            ("spectrum", "kind = jordan\njordan_size = 0\n", "[problem] jordan_size"),
+            ("simulate", "kind = jordan\njordan_size = -1\n", "[problem] jordan_size"),
+            ("observability", "\n[observation]\nhorizon = -1\n", "[observation] horizon"),
+            ("observability", "\n[observation]\nhorizon = nan\n", "[observation] horizon"),
+            ("observability", "\n[observation]\nhorizon = inf\n", "[observation] horizon"),
+            (
+                "observability",
+                "\n[observation]\ntimes = 0.1 nan 0.5\n",
+                "[observation]: sample times must be finite",
+            ),
+            (
+                "observability",
+                "T = inf\n\n[observation]\nroute = resolvent\n",
+                "[problem] T",
+            ),
+            ("simulate", "T = inf\n\n[solver]\nroutes = resolvent\n", "[problem] T"),
         ],
         ids=[
             "off-grid-time",
@@ -335,12 +352,23 @@ class TestConfigErrors:
             "negative-noise",
             "negative-reg-scale",
             "zero-tsvd-rank",
+            "zero-uniform-times",
+            "zero-jordan-size",
+            "negative-jordan-size",
+            "negative-horizon",
+            "nan-horizon",
+            "infinite-horizon",
+            "nan-observation-time",
+            "infinite-T-observability",
+            "infinite-T-simulate",
         ],
     )
-    def test_exits_1_with_config_error(self, tmp_path, capsys, command, extra, field):
+    def test_exits_1_with_config_error(self, tmp_path, capsys, recwarn, command, extra, field):
         cfg = write(tmp_path, self.BASE + extra)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config error: {field}" in capsys.readouterr().err
+        # a bad value is refused before numpy computes with it
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
     def test_grid_check_runs_before_stepping(self, tmp_path, capsys, monkeypatch):
         def no_stepping(*args, **kwargs):
