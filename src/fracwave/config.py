@@ -2,12 +2,16 @@
 
 Every field has a default; the fully resolved configuration (defaults
 included) is echoed into each output manifest so results stay reproducible.
+Options are read by their dataclass fields: unknown options are refused,
+every number must be finite, one ``interior`` count serves every axis, and
+``omega`` needs two numbers per axis (it has no 2D default).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +23,8 @@ from .solver import SourcePair
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text"]
 
 _ROUTES = ("timestep", "resolvent", "spectral")
+# coefficient expressions each dimension reads
+_COEFFICIENTS = {1: ("a11", "b1", "c"), 2: ("a11", "b1", "c", "a22", "a12", "b2")}
 
 
 @dataclass
@@ -90,13 +96,7 @@ class ExperimentConfig:
     def build_mesh(self) -> Mesh:
         p = self.problem
         try:
-            if p.dimension == 1:
-                return Mesh((p.domain[0],), (p.domain[1],), (p.interior[0],))
-            return Mesh(
-                (p.domain[0], p.domain[2]),
-                (p.domain[1], p.domain[3]),
-                (p.interior[0], p.interior[1]),
-            )
+            return Mesh(p.domain[0::2], p.domain[1::2], p.interior)
         except ValueError as exc:
             raise ConfigError(f"[problem] mesh: {exc}") from exc
 
@@ -107,19 +107,11 @@ class ExperimentConfig:
             mat = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
             return mat
         mesh = self.build_mesh()
-        names = ("x",) if p.dimension == 1 else ("x", "y")
+        names = ("x", "y")[: p.dimension]
         try:
-            kw = dict(
-                a11=compile_expression(p.a11, names),
-                b1=compile_expression(p.b1, names),
-                c=compile_expression(p.c, names),
-            )
-            if p.dimension == 2:
-                kw.update(
-                    a22=compile_expression(p.a22, names),
-                    a12=compile_expression(p.a12, names),
-                    b2=compile_expression(p.b2, names),
-                )
+            kw = {
+                c: compile_expression(getattr(p, c), names) for c in _COEFFICIENTS[p.dimension]
+            }
         except ExpressionError as exc:
             raise ConfigError(f"[problem] coefficient expression: {exc}") from exc
         coeffs = CoefficientField.from_callables(mesh, **kw)
@@ -134,7 +126,7 @@ class ExperimentConfig:
         else:
             if mesh is None:
                 mesh = self.build_mesh()
-            names = ("x",) if p.dimension == 1 else ("x", "y")
+            names = ("x", "y")[: p.dimension]
             coords = mesh.interior_coordinates()
         try:
             fa = compile_expression(p.a, names)
@@ -171,30 +163,30 @@ class ExperimentConfig:
             raise ConfigError(f"[observation] times: cannot parse {spec!r}") from exc
 
     def observation_omega(self, mesh: Mesh) -> np.ndarray:
-        om = self.observation.omega
+        om, d = self.observation.omega, mesh.dimension
         try:
-            if mesh.dimension == 1:
-                return subdomain_indices(mesh, (om[0], om[1]))
-            return subdomain_indices(mesh, ((om[0], om[1]), (om[2], om[3])))
+            if len(om) != 2 * d:
+                raise ValueError(f"needs {2 * d} numbers for {d}D, got {len(om)}")
+            return subdomain_indices(mesh, tuple(zip(om[0::2], om[1::2])))
         except ValueError as exc:
             raise ConfigError(f"[observation] omega: {exc}") from exc
 
 
-def _get(parser, section, option, cast, default, errors: list):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option).strip()
-    if raw == "" or raw.lower() == "auto":
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, ConfigError) as exc:
-        errors.append(f"[{section}] {option} = {raw!r}: {exc}")
-        return default
+def _get(parser, section: str, option: str) -> str | None:
+    """The option's text, or None when it is missing, empty or ``auto`` (the default)."""
+    raw = parser.get(section, option, fallback="").strip()
+    return None if raw == "" or raw.lower() == "auto" else raw
+
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
 
 
 def _floats(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split())
+    return tuple(_float(v) for v in raw.split())
 
 
 def _ints(raw: str) -> tuple:
@@ -213,97 +205,84 @@ def _routes(raw: str) -> tuple:
     return tuple(names)
 
 
+# option readers by field annotation (a string under postponed evaluation);
+# tuple fields name theirs
+_READERS = {"str": str, "int": int, "float": _float, "float | None": _float, "int | None": int}
+_TUPLE_READERS = dict(domain=_floats, interior=_ints, routes=_routes, times=_floats, omega=_floats)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    known = {"problem", "spectral", "solver", "observation", "inversion"}
-    unknown = set(parser.sections()) - known
+    cfg = ExperimentConfig()
+    unknown = set(parser.sections()) - vars(cfg).keys()
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     errors: list[str] = []
-    cfg = ExperimentConfig()
     p = cfg.problem
-    p.kind = _get(parser, "problem", "kind", str, p.kind, errors)
-    p.dimension = _get(parser, "problem", "dimension", int, p.dimension, errors)
+    p.domain = p.interior = ()  # unless given, set per dimension below
+    for name, part in vars(cfg).items():
+        options = parser.options(name) if parser.has_section(name) else []
+        extra = sorted(set(options) - {f.name.lower() for f in fields(part)})
+        if extra:
+            errors.append(f"[{name}] unknown options: {', '.join(extra)}")
+        for f in fields(part):
+            raw = _get(parser, name, f.name)
+            if raw is None:
+                continue
+            read = _TUPLE_READERS[f.name] if f.type == "tuple" else _READERS[f.type]
+            try:
+                setattr(part, f.name, read(raw))
+            except ValueError as exc:
+                errors.append(f"[{name}] {f.name} = {raw!r}: {exc}")
+
     if p.dimension not in (1, 2):
         errors.append(f"[problem] dimension must be 1 or 2, got {p.dimension}")
         p.dimension = 1
-    default_domain = (0.0, 1.0) if p.dimension == 1 else (0.0, 1.0, 0.0, 1.0)
-    default_interior = (32,) if p.dimension == 1 else (16, 16)
-    p.domain = _get(parser, "problem", "domain", _floats, default_domain, errors)
-    p.interior = _get(parser, "problem", "interior", _ints, default_interior, errors)
-    if len(p.domain) != 2 * p.dimension:
-        errors.append(
-            f"[problem] domain needs {2 * p.dimension} numbers for {p.dimension}D, "
-            f"got {len(p.domain)}"
-        )
-        p.domain = default_domain
-    if len(p.interior) == 1 and p.dimension == 2:
-        p.interior = (p.interior[0], p.interior[0])
-    if len(p.interior) != p.dimension:
-        errors.append(f"[problem] interior needs {p.dimension} counts")
-        p.interior = default_interior
-    for name in ("a11", "a12", "a22", "b1", "b2", "c", "a", "b"):
-        setattr(p, name, _get(parser, "problem", name, str, getattr(p, name), errors))
-    p.alpha = _get(parser, "problem", "alpha", float, p.alpha, errors)
+    d = p.dimension
+    p.domain = p.domain or (0.0, 1.0) * d
+    p.interior = p.interior or (32 if d == 1 else 16,)
+    if len(p.interior) == 1:
+        p.interior *= d
+    for option, size in (("domain", 2 * d), ("interior", d)):
+        if len(getattr(p, option)) != size:
+            errors.append(
+                f"[problem] {option} needs {size} numbers for {d}D, got {len(getattr(p, option))}"
+            )
     if not 1.0 < p.alpha < 2.0:
         errors.append(f"[problem] alpha must lie in (1, 2), got {p.alpha}")
-    p.T = _get(parser, "problem", "T", float, p.T, errors)
-    if not 0 < p.T < np.inf:  # NaN fails too
-        errors.append(f"[problem] T must be positive and finite, got {p.T}")
-    p.K = _get(parser, "problem", "K", int, p.K, errors)
-    p.jordan_size = _get(parser, "problem", "jordan_size", int, p.jordan_size, errors)
+    if p.T <= 0:
+        errors.append(f"[problem] T must be positive, got {p.T}")
     if p.jordan_size < 1:
         errors.append(f"[problem] jordan_size must be at least 1, got {p.jordan_size}")
-    p.jordan_lambda = _get(parser, "problem", "jordan_lambda", float, p.jordan_lambda, errors)
     if p.kind not in ("elliptic", "jordan"):
         errors.append(f"[problem] kind must be elliptic or jordan, got {p.kind!r}")
 
     s = cfg.spectral
-    s.cluster_tol = _get(parser, "spectral", "cluster_tol", float, None, errors)
-    if s.cluster_tol is not None and not 0 <= s.cluster_tol < np.inf:  # NaN fails too
-        errors.append(
-            f"[spectral] cluster_tol must be a finite nonnegative number or auto, "
-            f"got {s.cluster_tol}"
-        )
-    s.contour_nodes = _get(parser, "spectral", "contour_nodes", int, s.contour_nodes, errors)
-
-    so = cfg.solver
-    so.routes = _get(parser, "solver", "routes", _routes, so.routes, errors)
-    so.talbot_nodes = _get(parser, "solver", "talbot_nodes", int, so.talbot_nodes, errors)
-    so.times = _get(parser, "solver", "times", _floats, so.times, errors)
+    if s.cluster_tol is not None and s.cluster_tol < 0:
+        errors.append(f"[spectral] cluster_tol must be nonnegative or auto, got {s.cluster_tol}")
 
     o = cfg.observation
-    o.omega = _get(parser, "observation", "omega", _floats, o.omega, errors)
-    o.times = _get(parser, "observation", "times", str, o.times, errors)
-    o.horizon = _get(parser, "observation", "horizon", float, None, errors)
-    if o.horizon is not None and not 0 < o.horizon < np.inf:
-        errors.append(f"[observation] horizon must be positive and finite, got {o.horizon}")
-    o.route = _get(parser, "observation", "route", str, o.route, errors)
+    if o.horizon is not None and o.horizon <= 0:
+        errors.append(f"[observation] horizon must be positive, got {o.horizon}")
     if o.route not in _ROUTES:
         errors.append(f"[observation] route must be one of {_ROUTES}, got {o.route!r}")
-    o.timestep_K = _get(parser, "observation", "timestep_K", int, o.timestep_K, errors)
 
     i = cfg.inversion
-    i.method = _get(parser, "inversion", "method", str, i.method, errors)
     if i.method not in ("tikhonov", "tsvd"):
         errors.append(f"[inversion] method must be tikhonov or tsvd, got {i.method!r}")
-    i.reg_scale = _get(parser, "inversion", "reg_scale", float, i.reg_scale, errors)
-    i.tsvd_rank = _get(parser, "inversion", "tsvd_rank", int, None, errors)
-    i.noise = _get(parser, "inversion", "noise", float, i.noise, errors)
-    if not i.noise >= 0:
+    if i.noise < 0:
         errors.append(f"[inversion] noise must be nonnegative, got {i.noise}")
-    if not i.reg_scale >= 0:  # 0 is the unregularized inverse
+    if i.reg_scale < 0:  # 0 is the unregularized inverse
         errors.append(f"[inversion] reg_scale must be nonnegative, got {i.reg_scale}")
     if i.tsvd_rank is not None and i.tsvd_rank < 1:
         errors.append(f"[inversion] tsvd_rank must be at least 1, got {i.tsvd_rank}")
     # noise > 0 without a seed is rejected at synthesis time, so the --seed
     # flag can still supply one
-    i.seed = _get(parser, "inversion", "seed", int, None, errors)
 
     if errors:
         raise ConfigError("; ".join(errors))

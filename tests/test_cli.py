@@ -334,6 +334,17 @@ class TestConfigErrors:
                 "[problem] T",
             ),
             ("simulate", "T = inf\n\n[solver]\nroutes = resolvent\n", "[problem] T"),
+            ("simulate", "\n[solver]\nroutes = resolvent\ntimes = 0.1 nan\n", "[solver] times"),
+            ("simulate", "\n[solver]\nroutes = spectral\ntimes = 0.1 inf\n", "[solver] times"),
+            ("invert", "\n[inversion]\nnoise = inf\nseed = 1\n", "[inversion] noise"),
+            ("invert", "\n[inversion]\nreg_scale = inf\n", "[inversion] reg_scale"),
+            ("spectrum", "kind = jordan\njordan_lambda = nan\n", "[problem] jordan_lambda"),
+            ("spectrum", "domain = 0 inf\n", "[problem] domain"),
+            ("observability", "dimension = 2\n", "[observation] omega"),
+            ("invert", "dimension = 2\n", "[observation] omega"),
+            ("observability", "\n[observation]\nomega = 0.1\n", "[observation] omega"),
+            ("observability", "\n[observation]\nomega = 0 0.25 0.9\n", "[observation] omega"),
+            ("simulate", "alhpa = 1.9\n", "[problem] unknown options: alhpa"),
         ],
         ids=[
             "off-grid-time",
@@ -361,6 +372,17 @@ class TestConfigErrors:
             "nan-observation-time",
             "infinite-T-observability",
             "infinite-T-simulate",
+            "nan-solver-time",
+            "infinite-solver-time",
+            "infinite-noise",
+            "infinite-reg-scale",
+            "nan-jordan-lambda",
+            "infinite-domain",
+            "2d-without-omega-observability",
+            "2d-without-omega-invert",
+            "one-number-omega",
+            "three-number-omega",
+            "misspelt-option",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, recwarn, command, extra, field):
@@ -378,6 +400,11 @@ class TestConfigErrors:
         cfg = write(tmp_path, self.BASE + "\n[solver]\nroutes = timestep\ntimes = 2.0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error: [solver] times" in capsys.readouterr().err
+
+    def test_2d_without_omega_simulates(self, tmp_path):
+        # omega has no 2D default, but only the observation map needs it
+        cfg = write(tmp_path, self.BASE + "dimension = 2\n\n[solver]\nroutes = timestep\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_values_unused_by_the_routes_stay_accepted(self, tmp_path):
         text = self.BASE + "K = 1\n\n[solver]\nroutes = spectral\ntalbot_nodes = 3\n"

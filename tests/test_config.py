@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fracwave.config import parse_config_text
+from fracwave.config import load_config, parse_config_text
 from fracwave.errors import ConfigError
 from fracwave.expressions import ExpressionError, compile_expression
 
@@ -149,3 +151,41 @@ class TestConfigParsing:
         np.testing.assert_array_equal(A, [[5.0, 1.0], [0.0, 5.0]])
         src = cfg.build_source()
         assert src.size == 2
+
+    def test_unknown_option(self):
+        with pytest.raises(ConfigError, match=r"\[problem\] unknown options: alhpa"):
+            parse_config_text("[problem]\nalhpa = 1.9\n")
+
+    def test_mixed_case_options(self):
+        # configparser lowercases option names; the fields keep their case
+        cfg = parse_config_text("[problem]\nT = 2.0\nK = 512\n\n[observation]\ntimestep_K = 256\n")
+        assert (cfg.problem.T, cfg.problem.K, cfg.observation.timestep_K) == (2.0, 512, 256)
+
+    def test_one_interior_count_serves_every_axis(self):
+        cfg = parse_config_text("[problem]\ndimension = 2\ninterior = 5\n")
+        assert cfg.problem.interior == (5, 5)
+        assert cfg.problem.domain == (0.0, 1.0, 0.0, 1.0)
+        assert cfg.build_mesh().size == 25
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def as_text(resolved: dict) -> str:
+    """Config text giving every field of a resolved config: tuples space-separated."""
+    lines = []
+    for section, values in resolved.items():
+        lines.append(f"[{section}]")
+        for name, value in values.items():
+            if value is None:
+                value = "auto"
+            elif isinstance(value, tuple):
+                value = " ".join(str(v) for v in value)
+            lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", ["configs/demo.ini", "bench/riesz2d.ini"])
+def test_every_field_round_trips(path):
+    resolved = load_config(ROOT / path).resolved()
+    assert parse_config_text(as_text(resolved)).resolved() == resolved
