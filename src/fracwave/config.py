@@ -108,12 +108,7 @@ class ExperimentConfig:
             return mat
         mesh = self.build_mesh()
         names = ("x", "y")[: p.dimension]
-        try:
-            kw = {
-                c: compile_expression(getattr(p, c), names) for c in _COEFFICIENTS[p.dimension]
-            }
-        except ExpressionError as exc:
-            raise ConfigError(f"[problem] coefficient expression: {exc}") from exc
+        kw = {c: self._expression(c, names) for c in _COEFFICIENTS[p.dimension]}
         coeffs = CoefficientField.from_callables(mesh, **kw)
         return assemble(mesh, coeffs)
 
@@ -128,12 +123,15 @@ class ExperimentConfig:
                 mesh = self.build_mesh()
             names = ("x", "y")[: p.dimension]
             coords = mesh.interior_coordinates()
-        try:
-            fa = compile_expression(p.a, names)
-            fb = compile_expression(p.b, names)
-        except ExpressionError as exc:
-            raise ConfigError(f"[problem] data expression: {exc}") from exc
+        fa, fb = self._expression("a", names), self._expression("b", names)
         return SourcePair(fa(*coords), fb(*coords))
+
+    def _expression(self, option: str, names: tuple):
+        """The compiled ``[problem]`` expression ``option``; errors name it."""
+        try:
+            return compile_expression(getattr(self.problem, option), names)
+        except ExpressionError as exc:
+            raise ConfigError(f"[problem] {option}: {exc}") from exc
 
     def solver_times(self) -> np.ndarray:
         if self.solver.times:
@@ -212,7 +210,7 @@ _TUPLE_READERS = dict(domain=_floats, interior=_ints, routes=_routes, times=_flo
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -1,10 +1,13 @@
 """Subdomain observability and inverse source recovery.
 
 The map (a, b) -> u restricted to omega x sample-times is linear in the data,
-so it has a matrix representation: the forward solution of the block of 2N
-unit sources, restricted to omega x sample-times.  The setup carries the
-solver route as the object that selects it in :func:`fracwave.solver.solve`
-(a TimeGrid, a LaplaceContour or RieszData), so the map is one call to it.
+so it has a matrix representation M = [S_1 | S_2] restricted to the omega
+rows, where u(t) = S_1(t) a + S_2(t) b.  Every route's solution operator is a
+function of A, S(t) = f_t(A), and f_t(A)^T = f_t(A^T), so the omega rows of
+S(t) are the solutions of A^T from the |omega| unit sources e_i, i in omega:
+the map costs 2|omega| forward solves, not 2N.  The setup carries the solver
+route as the object that selects it in :func:`fracwave.solver.solve` (a
+TimeGrid, a LaplaceContour or RieszData), so the map is one call to it.
 Its singular spectrum quantifies, at desk scale, whether observing the
 solution on an arbitrary subdomain determines the data pair: trivial kernel
 (sigma_min > 0, numerical rank 2N) is the finite-dimensional shadow of the
@@ -29,7 +32,7 @@ import scipy.linalg
 from .elliptic import as_matrix
 from .errors import ContourError, NumericsError
 from .fraccalc import TimeGrid
-from .solver import LaplaceContour, SourcePair, solve
+from .solver import LaplaceContour, SourcePair, _Transposed, solve
 from .spectral import RieszData
 
 __all__ = [
@@ -107,20 +110,28 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
 
     Column j is the forward solution of the j-th unit source (a-basis first,
     then b-basis) restricted to omega x sample-times; linearity of the
-    evolution in (a, b) justifies the matrix representation.  All 2N unit
-    sources go to :func:`fracwave.solver.solve` with the setup's method as one
-    block, SourcePair([I 0], [0 I]).
+    evolution in (a, b) justifies the matrix representation.  Since each
+    route's solution operator is f_t(A) and f_t(A)^T = f_t(A^T), the map's
+    rows are built as columns of the transposed problem: one call of
+    :func:`fracwave.solver.solve` with A^T on the 2|omega| unit sources
+    SourcePair([E_w 0], [0 E_w]), E_w holding the unit vectors e_i for i in
+    omega, gives states[t, j, i] = M[t * |omega| + i, j] (a-half, likewise
+    the b-half).  That is 2|omega| solves instead of 2N.  The spectral route
+    solves with the transposed Riesz data P_n^T, D_n^T; the time-step
+    stability refusal and the Talbot contour scale are decided from A itself.
     """
     mat = as_matrix(A)
     n = mat.shape[0]
     omega = setup.omega_indices
     if np.any(omega < 0) or np.any(omega >= n):
         raise ValueError("omega indices outside the operator's index range")
-    rows = setup.sample_times.size * omega.size
-    eye, zero = np.eye(n), np.zeros((n, n))
-    units = SourcePair(np.hstack([eye, zero]), np.hstack([zero, eye]))
-    sol = solve(A, units, alpha, setup.sample_times, setup.method)
-    M = sol.states[:, omega, :].reshape(rows, 2 * n)
+    n_times, w = setup.sample_times.size, omega.size
+    e_w, zero = np.eye(n)[:, omega], np.zeros((n, w))
+    units = SourcePair(np.hstack([e_w, zero]), np.hstack([zero, e_w]))
+    method = setup.method.transpose() if isinstance(setup.method, RieszData) else setup.method
+    sol = solve(_Transposed.of(mat), units, alpha, setup.sample_times, method)
+    # states[t, j, h * w + i] -> M[t * w + i, h * n + j], h = 0 (a) or 1 (b)
+    M = sol.states.reshape(n_times, n, 2, w).transpose(0, 3, 2, 1).reshape(n_times * w, 2 * n)
 
     u, s, vt = scipy.linalg.svd(M, full_matrices=False)
     return ObservationMap(

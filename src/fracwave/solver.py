@@ -132,6 +132,33 @@ class SolutionSamples:
             raise ValueError("states must hold one vector per sample time")
 
 
+@dataclass(frozen=True)
+class _Transposed:
+    """A^T, solved with the decisions of A.
+
+    The time-step stability refusal and the Talbot contour scale are decided
+    from ||A||_inf.  For A^T that norm is ||A||_1, which differs from it under
+    variable coefficients, so the transpose carries A's norm along: a solve
+    with A^T refuses a grid and scales its contour exactly as one with A.
+    """
+
+    matrix: np.ndarray
+    norm_inf: float
+
+    @classmethod
+    def of(cls, A) -> "_Transposed":
+        mat = as_matrix(A)
+        return cls(np.ascontiguousarray(mat.T), float(np.linalg.norm(mat, np.inf)))
+
+
+def _operator(A, dtype) -> tuple[np.ndarray, float]:
+    """The matrix of A as ``dtype`` and the norm ||A||_inf the routes decide from."""
+    if isinstance(A, _Transposed):
+        return A.matrix.astype(dtype), A.norm_inf
+    mat = as_matrix(A).astype(dtype)
+    return mat, float(np.linalg.norm(mat, np.inf))
+
+
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"equation order must satisfy 1 < alpha < 2, got {alpha}")
@@ -170,7 +197,7 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
     would restore stability, rather than marching into blowup.
     """
     _check_alpha(alpha)
-    mat = as_matrix(A).astype(float)
+    mat, rho = _operator(A, float)
     n = mat.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
@@ -188,7 +215,6 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
     K = grid.K
     w, c0 = rl_weights(alpha, K)
     kappa0 = grid.dt**alpha / math.gamma(alpha + 2.0)
-    rho = float(np.linalg.norm(mat, np.inf))
     limit = _pi_stability_limit(alpha)
     if kappa0 * rho > limit:
         dt_max = (limit * math.gamma(alpha + 2.0) / rho) ** (1.0 / alpha)
@@ -285,7 +311,7 @@ def solve_resolvent(
     symmetric-node sum is returned, shaped (times, *source.a.shape).
     """
     _check_alpha(alpha)
-    mat = as_matrix(A).astype(complex)
+    mat, rho = _operator(A, complex)
     n = mat.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
@@ -296,7 +322,6 @@ def solve_resolvent(
     M = contour.nodes
     half = M // 2
     theta = (np.arange(half) + 0.5) * (2.0 * np.pi / M)
-    rho = float(np.linalg.norm(mat, np.inf)) if n > 1 else abs(mat[0, 0])
     rho = max(rho, 1e-30)
 
     a = source.a.astype(complex)

@@ -111,6 +111,16 @@ class RieszData:
     def n_clusters(self) -> int:
         return len(self.projections)
 
+    def transpose(self) -> "RieszData":
+        """The Riesz data of A^T: P_n^T and D_n^T at the same eigenvalues."""
+        return RieszData(
+            eigenvalues=self.eigenvalues,
+            radii=self.radii,
+            projections=[P.T for P in self.projections],
+            nilpotents=[D.T for D in self.nilpotents],
+            multiplicities=self.multiplicities,
+        )
+
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clustering of complex points at distance <= tol."""
@@ -226,11 +236,16 @@ def riesz_projection(
     w = radius * phase / nodes
     if conjugate:
         w[: nodes // 2] *= 2.0  # the mirror node's conjugate term
-    eye = np.eye(n)
-    # numpy < 2 would read an (n, n) right-hand side as a stack of vectors
-    rhs = np.broadcast_to(eye, (len(k), n, n))
+    # z_k I - A for every kept node, built in place (no stacked temporaries)
+    shifted = np.empty((len(k), n, n), dtype=complex)
+    np.negative(mat, out=shifted)
+    diag = np.arange(n)
+    shifted[:, diag, diag] += zs[:, None]
+    # numpy < 2 would read an (n, n) right-hand side as a stack of vectors;
+    # a complex identity needs no cast copy of the whole stack
+    rhs = np.broadcast_to(np.eye(n, dtype=complex), (len(k), n, n))
     try:
-        res = np.linalg.solve(zs[:, None, None] * eye - mat, rhs)
+        res = np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError as exc:
         raise ContourError(
             f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"

@@ -345,6 +345,8 @@ class TestConfigErrors:
             ("observability", "\n[observation]\nomega = 0.1\n", "[observation] omega"),
             ("observability", "\n[observation]\nomega = 0 0.25 0.9\n", "[observation] omega"),
             ("simulate", "alhpa = 1.9\n", "[problem] unknown options: alhpa"),
+            ("simulate", "a = 1 + 100%x\n", "[problem] a: unsupported syntax"),
+            ("observability", "\n[observation]\ntimes = 50%\n", "[observation] times"),
         ],
         ids=[
             "off-grid-time",
@@ -383,6 +385,8 @@ class TestConfigErrors:
             "one-number-omega",
             "three-number-omega",
             "misspelt-option",
+            "percent-in-expression",
+            "percent-in-times",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, recwarn, command, extra, field):

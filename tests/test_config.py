@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,3 +190,17 @@ def as_text(resolved: dict) -> str:
 def test_every_field_round_trips(path):
     resolved = load_config(ROOT / path).resolved()
     assert parse_config_text(as_text(resolved)).resolved() == resolved
+
+
+def test_readme_config_example_parses():
+    # the "Configuration format" block of README.md, parsed as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = parse_config_text(block)
+    assert cfg.problem.interior == (32,) and cfg.problem.K == 1024
+    assert cfg.spectral.cluster_tol is None and cfg.spectral.contour_nodes == 64
+    assert cfg.observation.omega == (0.0, 0.25)
+    assert cfg.observation.times == "geometric:64:1e-3"
+    assert cfg.inversion.seed == 20240817
+    cfg.build_operator()
+    cfg.build_source()

@@ -1,11 +1,16 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracwave.fraccalc
+import fracwave.observability
 import fracwave.solver
 from fracwave.cli import main
+from fracwave.config import parse_config_text
 from fracwave.elliptic import CoefficientField, Mesh, assemble, subdomain_indices
 from fracwave.errors import ContourError, NumericsError
 from fracwave.fraccalc import TimeGrid, mittag_leffler
@@ -20,7 +25,7 @@ from fracwave.observability import (
     write_recovery_csv,
     write_singular_values_csv,
 )
-from fracwave.solver import LaplaceContour, SourcePair, solve
+from fracwave.solver import LaplaceContour, SourcePair, solve, solve_resolvent, solve_timestep
 from fracwave.spectral import compute_riesz_data, eigendecompose
 
 ALPHA = 1.5
@@ -162,6 +167,108 @@ class TestBuildObservationMap:
             ObservationSetup([], np.array([0.5]), LaplaceContour())
         with pytest.raises(ValueError):
             ObservationSetup([0], np.array([0.5, 0.5]), LaplaceContour())  # not increasing
+
+
+def full_block_map(op, times, omega, method):
+    """The map as the omega rows of the forward solve of all 2N unit sources."""
+    n = op.matrix.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    units = SourcePair(np.hstack([eye, zero]), np.hstack([zero, eye]))
+    states = solve(op, units, ALPHA, times, method).states
+    return states[:, omega, :].reshape(len(times) * len(omega), 2 * n)
+
+
+# a variable-coefficient operator whose ||A||_1 (346.2) exceeds ||A||_inf (324)
+SPLIT_NORMS = "[problem]\ninterior = 8\nb1 = 40*(1 - x)*x\n"
+
+
+class TestAdjointMap:
+    """The map is built from A^T on the 2|omega| unit sources of omega."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        two_d=st.booleans(),
+        strength=st.floats(0.5, 20.0),
+        route=st.sampled_from(["spectral", "resolvent", "timestep"]),
+        data=st.data(),
+    )
+    def test_map_matches_forward_solve(self, two_d, strength, route, data):
+        if two_d:
+            cells = (data.draw(st.integers(2, 5)), data.draw(st.integers(2, 4)))
+            mesh = Mesh((0.0, 0.0), (1.0, 0.7), cells)
+            coeffs = CoefficientField.from_callables(
+                mesh, b1=lambda x, y: strength * x * y, b2=lambda x, y: 0.5 - x
+            )
+        else:
+            mesh = Mesh((0.0,), (1.0,), (data.draw(st.integers(2, 10)),))
+            coeffs = CoefficientField.from_callables(
+                mesh, a11=lambda x: 1.0 + x, b1=lambda x: strength * x * x
+            )
+        op = assemble(mesh, coeffs)
+        n = mesh.size
+        omega = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        times = np.array([0.25, 0.5, 1.0])
+        method = {
+            "spectral": lambda: compute_riesz_data(op, eigendecompose(op)),
+            "resolvent": lambda: LaplaceContour(48),
+            "timestep": lambda: TimeGrid(1.0, 256),
+        }[route]()
+        M = build_observation_map(op, ALPHA, ObservationSetup(omega, times, method)).matrix
+        assert M.shape == (len(times) * len(omega), 2 * n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        src = SourcePair(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        direct = solve(op, src, ALPHA, times, method).states[:, omega].reshape(-1)
+        assert np.max(np.abs(M @ np.concatenate([src.a, src.b]) - direct)) < 1e-8
+        if route == "spectral":
+            assert np.array_equal(M, full_block_map(op, times, omega, method))
+
+    @pytest.mark.parametrize("k", [45, 46])
+    def test_timestep_refusal_decided_from_a(self, tmp_path, capsys, k):
+        # at T = 4, A's norm asks for K >= 46; A^T's own norm would ask for K >= 48
+        A = parse_config_text(SPLIT_NORMS).build_operator().matrix
+        quiet = SourcePair(np.zeros(8), np.zeros(8))
+        advice = {}
+        for name, mat in [("A", A), ("A^T", A.T)]:
+            with pytest.raises(NumericsError, match=r"K >= \d+") as err:
+                solve_timestep(mat, quiet, ALPHA, [4.0], TimeGrid(4.0, 4))
+            advice[name] = re.search(r"K >= \d+", str(err.value)).group()
+        assert advice == {"A": "K >= 46", "A^T": "K >= 48"}
+
+        text = SPLIT_NORMS + (
+            f"T = 4\nK = {k}\n\n[solver]\nroutes = timestep\ntimes = 4\n\n"
+            f"[observation]\nroute = timestep\ntimes = uniform:1\ntimestep_K = {k}\n"
+        )
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        outcome = {}
+        for command in ("simulate", "observability"):
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+            outcome[command] = (main(argv), capsys.readouterr().err)
+        assert outcome["observability"] == outcome["simulate"]
+        assert outcome["simulate"][0] == (2 if k < 46 else 0)
+        if k < 46:
+            assert "use K >= 46 for T = 4.0" in outcome["simulate"][1]
+
+    def test_resolvent_contour_scaled_from_a(self, monkeypatch):
+        A = parse_config_text(SPLIT_NORMS).build_operator().matrix
+        times = np.array([0.2, 0.3, 0.35, 0.5])
+        quiet = SourcePair(np.zeros(8), np.zeros(8))
+        forward = solve_resolvent(A, quiet, ALPHA, times, LaplaceContour(48)).params
+        own_norm = solve_resolvent(A.T, quiet, ALPHA, times, LaplaceContour(48)).params
+        assert forward["r"] != own_norm["r"]  # the two norms scale the contour apart
+
+        seen = []
+
+        def recorded(*args):
+            sol = solve(*args)
+            seen.append(sol.params)
+            return sol
+
+        monkeypatch.setattr(fracwave.observability, "solve", recorded)
+        setup = ObservationSetup([0, 3], times, LaplaceContour(48))
+        build_observation_map(A, ALPHA, setup)
+        assert [p["r"] for p in seen] == [forward["r"]]
+        assert seen[0]["rho_bound"] == forward["rho_bound"]
 
 
 def assert_full_rank(op, omega, method):
