@@ -33,6 +33,7 @@ from .observability import (
 )
 from .solver import LaplaceContour, route_difference, solve
 from .spectral import (
+    CONDITION_MAX,
     compute_riesz_data,
     contour_difference,
     eigendecompose,
@@ -88,19 +89,30 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _riesz_data(op, cfg: ExperimentConfig):
-    """(eigensystem, Riesz data) of the operator under the [spectral] settings."""
-    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-    riesz = _checked(
+def _riesz_data(op, cfg: ExperimentConfig, eigsys):
+    """Riesz data of the operator's eigensystem under the [spectral] settings."""
+    return _checked(
         "[spectral] contour_nodes", compute_riesz_data, op, eigsys, cfg.spectral.contour_nodes
     )
-    return eigsys, riesz
 
 
 def _route_method(cfg: ExperimentConfig, op, route: str, grid: tuple, grid_fields: str):
-    """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral."""
+    """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral.
+
+    The spectral route refuses an eigenvalue whose condition number exceeds
+    ``CONDITION_MAX``: its projection is too inaccurate for the mode sum.
+    """
     if route == "spectral":
-        return _riesz_data(op, cfg)[1]
+        eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
+        kappa = np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0)
+        i = int(np.argmax(kappa))  # NaN counts as largest
+        if not kappa[i] <= CONDITION_MAX:
+            raise NumericsError(
+                f"the eigenvalue {eigsys.eigenvalues[i]:.6g} has condition number "
+                f"{kappa[i]:.3g}, above {CONDITION_MAX:.3g}: its spectral projection is "
+                f"unreliable, use the time-stepping route (--route timestep)"
+            )
+        return _riesz_data(op, cfg, eigsys)
     if route == "resolvent":
         return _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
     return _checked(grid_fields, TimeGrid, *grid)
@@ -137,7 +149,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
-    eigsys, riesz = _riesz_data(op, cfg)
+    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
+    riesz = _riesz_data(op, cfg, eigsys)
     report = verify_identities(op, riesz)
     diff = contour_difference(op, eigsys, riesz, cfg.spectral.contour_nodes)
     path = os.path.join(outdir, "spectrum.csv")

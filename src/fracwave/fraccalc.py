@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln as _gammaln, rgamma as _rgamma
 
 from .errors import MittagLefflerError
 
@@ -75,6 +74,26 @@ class TimeSeries:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
+
+
+_gammaln = math.lgamma  # log |Gamma(x)|
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), 0 at the poles 0, -1, -2, ... and where Gamma(x) overflows.
+
+    Gamma overflows past x = 171.6 (1/Gamma is 0 there) and at subnormal
+    x, where 1/Gamma(x) = x to double precision.  Far left of 0 Gamma
+    underflows to a signed zero and 1/Gamma is the infinity of that sign.
+    """
+    x = float(x)
+    if x <= 0.0 and x.is_integer():
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return 0.0 if x > 1.0 else x
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def _check_order(alpha: float, lo: float, hi: float, lo_open=True, hi_open=False) -> None:

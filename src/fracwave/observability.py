@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .elliptic import as_matrix
 from .errors import ContourError, NumericsError
@@ -133,7 +132,7 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
     # states[t, j, h * w + i] -> M[t * w + i, h * n + j], h = 0 (a) or 1 (b)
     M = sol.states.reshape(n_times, n, 2, w).transpose(0, 3, 2, 1).reshape(n_times * w, 2 * n)
 
-    u, s, vt = scipy.linalg.svd(M, full_matrices=False)
+    u, s, vt = np.linalg.svd(M, full_matrices=False)
     return ObservationMap(
         matrix=M,
         setup=setup,
@@ -243,8 +242,8 @@ def branch_identity_probe(A, a, b, psi: ProbeVector, alpha: float, eta_samples) 
     for eta in np.atleast_1d(np.asarray(eta_samples, dtype=complex)):
         if np.min(np.abs(eta - eig)) < 1e-8 * scale:
             raise ContourError(f"eta sample {eta:.6g} too close to the spectrum")
-        ra = scipy.linalg.solve(mat - eta * eye, a)
-        rb = scipy.linalg.solve(mat - eta * eye, b)
+        ra = np.linalg.solve(mat - eta * eye, a)
+        rb = np.linalg.solve(mat - eta * eye, b)
         f = complex(np.vdot(psi.values, ra))
         g = complex(np.vdot(psi.values, rb))
         branch = (-eta) ** (1.0 / alpha)

@@ -7,9 +7,9 @@ verifies the algebra these objects must satisfy:
     P_n^2 = P_n,   D_n = (A - lambda_n) P_n,   D_n P_n = P_n D_n,
     D_n^{d_n} P_n = 0,   sum_n P_n = I.
 
-One eigendecomposition with left and right eigenvectors serves every cluster
-that is a single well-conditioned eigenvalue: there P_n = v w^H / (w^H v) and
-D_n = (A - lambda_n) P_n.  Clusters with several members (Jordan blocks,
+One eigendecomposition A V = V diag(lambda), with the left eigenvectors read
+off inv(V), serves every cluster that is a single well-conditioned
+eigenvalue: there P_n = v w^H / (w^H v) and D_n = (A - lambda_n) P_n.  Clusters with several members (Jordan blocks,
 repeated eigenvalues) and ill-conditioned simple eigenvalues get P_n and D_n
 by trapezoid quadrature of the resolvent on a circle, which is also the
 cross-check of the eigenvector projections (:func:`contour_difference`).  The
@@ -28,8 +28,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from .elliptic import as_matrix
 from .errors import ContourError, NumericsError
@@ -56,6 +54,13 @@ RANK_TOL = 1e-8
 # kappa much faster than the contour's (demo operator at b1 = 30, kappa
 # 2.8e5: 3e-6 against 1.2e-10 for the contour)
 KAPPA_MAX = 10.0
+# largest eigenvalue condition number the spectral route accepts.  On the
+# demo operator the largest nilpotent part ||D_n|| / max(1, |lambda_n|) of
+# the simple clusters grows with kappa: 6e-10 at b1 = 30 (kappa 2.8e5), 6e-9
+# at b1 = 34 (kappa 3.2e6), 1.4e-8 at b1 = 35 (kappa 6e6).  From kappa ~5e6
+# on, the mode sum's 1e-8 check called simple eigenvalues defective (up to
+# b1 = 60, kappa 1.9e19); 1e6 stays a factor 5 below that and admits b1 = 30
+CONDITION_MAX = 1e6
 
 
 @dataclass
@@ -123,19 +128,35 @@ class RieszData:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clustering of complex points at distance <= tol."""
+    """Single-linkage clustering of complex points at distance <= tol.
+
+    Union-find over the close pairs; the clusters are index arrays in
+    ascending order, listed by their smallest index.
+    """
     close = np.abs(values[:, None] - values[None, :]) <= tol
-    count, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
-    return [np.flatnonzero(labels == k) for k in range(count)]
+    root = list(range(len(values)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        root[find(i)] = find(j)
+    labels = np.array([find(i) for i in range(len(values))])
+    return [np.flatnonzero(labels == r) for r in dict.fromkeys(labels.tolist())]
 
 
 def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     """Eigenvalues and eigenvectors of a general matrix, merged into clusters.
 
-    One ``scipy.linalg.eig(left=True)`` call on the matrix as given (LAPACK
-    ``dgeev`` for real input, so conjugate eigenvalues get exactly conjugate
-    vectors) supplies the eigenvalues, the unit right and left eigenvectors
-    and from them each single-member cluster's condition number.
+    One ``np.linalg.eig`` call on the matrix as given (LAPACK ``dgeev`` for
+    real input, so conjugate eigenvalues get exactly conjugate vectors)
+    supplies the eigenvalues and the unit right eigenvectors V; the left
+    eigenvectors are the columns of inv(V)^H, scaled to unit length.  From
+    them comes each single-member cluster's condition number.  The
+    eigenvalues are complex even when all of them are real.
 
     Eigenvalues within ``cluster_tol`` of each other (single linkage) become one
     cluster located at their mean, with summed multiplicity.  The contour
@@ -152,12 +173,15 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     if n < 1:
         raise ValueError("empty matrix")
     if cluster_tol is None:
-        scale = scipy.linalg.norm(mat, 2) if n > 1 else abs(mat[0, 0])
+        scale = np.linalg.norm(mat, 2) if n > 1 else abs(mat[0, 0])
         cluster_tol = 1e-6 * max(scale, 1.0)
     try:
-        raw, left, right = scipy.linalg.eig(mat, left=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raw, right = np.linalg.eig(mat)
+        left = np.linalg.inv(right).conj().T
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
+    raw = raw.astype(complex)
+    left = left / np.linalg.norm(left, axis=0)
     groups = _cluster(raw, cluster_tol)
     centers = np.array([raw[g].mean() for g in groups])
     mults = np.array([len(g) for g in groups])
@@ -258,7 +282,7 @@ def riesz_projection(
 
 
 def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> int:
-    s = scipy.linalg.svdvals(P)
+    s = np.linalg.svd(P, compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -419,7 +443,7 @@ def completeness_defect(rd: RieszData) -> float:
     acc = np.zeros((n, n), dtype=complex)
     for P in rd.projections:
         acc += P
-    return float(scipy.linalg.norm(acc - np.eye(n), 2))
+    return float(np.linalg.norm(acc - np.eye(n), 2))
 
 
 def contour_difference(

@@ -438,6 +438,26 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert "numerical failure: time stepping produced non-finite state at step 1" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "observability"])
+    @pytest.mark.parametrize("b1, code", [("30", 0), ("60", 2)])
+    def test_spectral_route_refuses_ill_conditioned_eigenvalues(
+        self, tmp_path, capsys, command, b1, code
+    ):
+        # strong advection makes the simple eigenvalues ill conditioned: the
+        # largest condition number is 2.8e5 at b1 = 30 and 1.9e19 at b1 = 60,
+        # where the mode sum once called a simple eigenvalue defective
+        text = CHECKED_IN["demo"].read_text().replace("b1 = 1\n", f"b1 = {b1}\n")
+        cfg = write(tmp_path, text)
+        argv = [command, "--config", cfg, "--route", "spectral"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "has condition number" in err and "above 1e+06" in err
+            assert "use the time-stepping route (--route timestep)" in err
+            assert "defective" not in err
+            argv = ["simulate", "--config", cfg, "--route", "timestep"]
+            assert main([*argv, "--out", str(tmp_path / "t")]) == 0
+
 
 class TestSelftestAndUsage:
     def test_no_arguments_prints_usage(self, capsys):

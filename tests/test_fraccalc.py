@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import gamma, gammaln, rgamma
 
+from fracwave import fraccalc
 from fracwave.errors import MittagLefflerError
 from fracwave.fraccalc import (
     TimeGrid,
@@ -51,6 +52,29 @@ class TestTimeGrid:
     def test_series_nonfinite(self):
         with pytest.raises(ValueError):
             TimeSeries(TimeGrid(1.0, 4), np.array([0, 1, np.nan, 3, 4.0]))
+
+
+class TestGammaHelpers:
+    """The scalar gamma helpers against ``scipy.special``."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -1.0, -2.0, -170.0]  # poles
+        + [-0.5, -1.5, -2.25, -170.5, -171.5, -200.5, -1000.5, -1001.5]  # negative non-integers
+        + [171.5, 171.6, 171.62, 171.63, 171.7, 172.0]  # Gamma overflows near 171.6
+        + [200.0, 1e6, 1e300]  # large
+        + [1e-300, 1e-310, 5e-324, 0.5, 1.0, 2.5, 3.5, 10.25, 60.0],
+    )
+    def test_rgamma(self, x):
+        got, want = fraccalc._rgamma(x), float(rgamma(x))
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=4e-16, abs=1e-322)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.75, 10.5, 171.7, 1e6, 1e300])
+    def test_gammaln(self, x):
+        assert fraccalc._gammaln(x) == pytest.approx(float(gammaln(x)), rel=4e-16)
 
 
 class TestRLIntegral:

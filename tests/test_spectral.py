@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from fracwave.elliptic import CoefficientField, Mesh, assemble
 from fracwave.errors import ContourError, NumericsError
 from fracwave.spectral import (
     DEFAULT_CONTOUR_NODES,
+    KAPPA_MAX,
     completeness_defect,
     compute_riesz_data,
     eigendecompose,
@@ -105,6 +107,45 @@ class TestEigendecompose:
         dist = np.abs(c[:, None] - c[None, :])
         np.fill_diagonal(dist, np.inf)
         assert np.all(r[:, None] + r[None, :] <= dist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=16,
+        ),
+        tol=st.floats(1e-3, 1.0),
+    )
+    def test_cluster_matches_connected_components(self, points, tol):
+        values = np.array(points, dtype=complex)
+        close = np.abs(values[:, None] - values[None, :]) <= tol
+        count, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
+        want = [np.flatnonzero(labels == k) for k in range(count)]
+        got = spectral._cluster(values, tol)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    @pytest.mark.parametrize("b1", [1.0, 10.0, 30.0, 60.0])
+    def test_condition_numbers_match_left_eigenvectors(self, b1):
+        # the demo operator; its condition numbers grow like e^(b1 / 2)
+        mesh = Mesh((0.0,), (1.0,), (32,))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=b1))
+        es = eigendecompose(op)
+        raw, left, right = scipy.linalg.eig(op.matrix, left=True)
+        want = (
+            np.linalg.norm(right, axis=0)
+            * np.linalg.norm(left, axis=0)
+            / np.abs(np.sum(left.conj() * right, axis=0))
+        )
+        assert es.raw_eigenvalues.dtype == complex
+        np.testing.assert_array_equal(es.raw_eigenvalues, raw)
+        got = np.empty(len(raw))
+        for g, kappa in zip(es.members, es.condition):
+            got[g] = kappa
+        # inv(V) loses accuracy with cond(V): 4e-11 at b1 = 30, 4.5e-4 at b1 = 60
+        assert np.max(np.abs(got - want) / want) <= (1e-9 if b1 <= 30 else 1e-2)
+        np.testing.assert_array_equal(got <= KAPPA_MAX, want <= KAPPA_MAX)
+        np.testing.assert_allclose(np.linalg.norm(es.left_vectors, axis=0), 1.0, rtol=1e-14)
 
 
 class TestRieszProjection:
