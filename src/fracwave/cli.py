@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .fraccalc import TimeGrid
 from .observability import (
     ObservationMap,
     ObservationSetup,
+    _write_json,
     build_observation_map,
     injectivity_report,
     invert_source,
@@ -33,11 +33,9 @@ from .observability import (
 )
 from .solver import LaplaceContour, route_difference, solve
 from .spectral import (
-    CONDITION_MAX,
     compute_riesz_data,
     contour_difference,
     eigendecompose,
-    verify_identities,
     write_spectrum_csv,
 )
 
@@ -63,10 +61,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _write_slices(outdir: str, route: str, times, states) -> list:
@@ -97,22 +92,9 @@ def _riesz_data(op, cfg: ExperimentConfig, eigsys):
 
 
 def _route_method(cfg: ExperimentConfig, op, route: str, grid: tuple, grid_fields: str):
-    """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral.
-
-    The spectral route refuses an eigenvalue whose condition number exceeds
-    ``CONDITION_MAX``: its projection is too inaccurate for the mode sum.
-    """
+    """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral."""
     if route == "spectral":
-        eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-        kappa = np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0)
-        i = int(np.argmax(kappa))  # NaN counts as largest
-        if not kappa[i] <= CONDITION_MAX:
-            raise NumericsError(
-                f"the eigenvalue {eigsys.eigenvalues[i]:.6g} has condition number "
-                f"{kappa[i]:.3g}, above {CONDITION_MAX:.3g}: its spectral projection is "
-                f"unreliable, use the time-stepping route (--route timestep)"
-            )
-        return _riesz_data(op, cfg, eigsys)
+        return _riesz_data(op, cfg, eigendecompose(op, cfg.spectral.cluster_tol))
     if route == "resolvent":
         return _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
     return _checked(grid_fields, TimeGrid, *grid)
@@ -151,20 +133,11 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
     eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
     riesz = _riesz_data(op, cfg, eigsys)
-    report = verify_identities(op, riesz)
     diff = contour_difference(op, eigsys, riesz, cfg.spectral.contour_nodes)
     path = os.path.join(outdir, "spectrum.csv")
-    write_spectrum_csv(riesz, report, path, diff)
+    write_spectrum_csv(riesz, riesz.identities, path, diff)
     _write_manifest(outdir, "spectrum", cfg, [path])
-    if not report.passed:
-        # spectrum.csv is written first: it is the diagnosis
-        name, i, value = report.worst_entry()
-        where = "" if i is None else f" at the cluster {riesz.eigenvalues[i]:.6g}"
-        raise NumericsError(
-            f"Riesz projections fail their identities: {name} {value:.3g}{where} "
-            f"exceeds {report.tol:.3g}; the spectral route is unreliable for this "
-            f"operator, use the time-stepping route (routes = timestep)"
-        )
+    riesz.check()  # after spectrum.csv, which is the diagnosis
     return EXIT_OK
 
 
@@ -192,22 +165,16 @@ def cmd_observability(cfg: ExperimentConfig, outdir: str) -> int:
     mf_path = os.path.join(outdir, "observation_map.json")
     write_singular_values_csv(obsmap, sv_path, mf_path)
     verdict_path = os.path.join(outdir, "verdict.json")
-    with open(verdict_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "numerical_rank": rep.numerical_rank,
-                "expected_rank": rep.expected_rank,
-                "sigma_min": rep.sigma_min,
-                "sigma_max": rep.sigma_max,
-                "condition": rep.condition if np.isfinite(rep.condition) else "inf",
-                "rank_threshold": rep.rank_threshold,
-                "verdict": "injective" if rep.injective else "rank-deficient",
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    verdict = {
+        "numerical_rank": rep.numerical_rank,
+        "expected_rank": rep.expected_rank,
+        "sigma_min": rep.sigma_min,
+        "sigma_max": rep.sigma_max,
+        "condition": rep.condition if np.isfinite(rep.condition) else "inf",
+        "rank_threshold": rep.rank_threshold,
+        "verdict": "injective" if rep.injective else "rank-deficient",
+    }
+    _write_json(verdict_path, verdict)
     _write_manifest(outdir, "observability", cfg, [sv_path, mf_path, verdict_path])
     return EXIT_OK
 
@@ -232,23 +199,15 @@ def cmd_invert(cfg: ExperimentConfig, outdir: str) -> int:
     guess = np.concatenate([result.a_hat, result.b_hat])
     denom = float(np.linalg.norm(truth))
     summary_path = os.path.join(outdir, "recovery_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "relative_error": float(np.linalg.norm(guess - truth)) / denom
-                if denom > 0
-                else 0.0,
-                "data_residual": result.residual,
-                "effective_condition": result.effective_condition,
-                "noise": inv.noise,
-                "seed": inv.seed,
-                **result.params,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    summary = {
+        "relative_error": float(np.linalg.norm(guess - truth)) / denom if denom > 0 else 0.0,
+        "data_residual": result.residual,
+        "effective_condition": result.effective_condition,
+        "noise": inv.noise,
+        "seed": inv.seed,
+        **result.params,
+    }
+    _write_json(summary_path, summary)
     _write_manifest(outdir, "invert", cfg, [rec_path, summary_path])
     return EXIT_OK
 

@@ -350,9 +350,14 @@ def write_singular_values_csv(obsmap: ObservationMap, csv_path, manifest_path=No
             "n_times": int(obsmap.setup.sample_times.size),
             **obsmap.params,
         }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(manifest_path, manifest)
+
+
+def _write_json(path, obj) -> None:
+    """Every JSON output: indented, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def write_recovery_csv(source_true: SourcePair, result: InversionResult, path) -> None:

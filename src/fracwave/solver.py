@@ -13,8 +13,8 @@ each other; their agreement is the package's core correctness instrument.
   linear solve per contour node per output time, covering every column of a
   source block.
 * ``solve_spectral_oracle``: Mittag-Leffler mode sum over the Riesz spectral
-  decomposition; valid only for diagonalizable clusters and refuses
-  defective input.
+  decomposition; refuses data that fail the reliability rule of
+  :meth:`fracwave.spectral.RieszData.check` and defective clusters.
 
 Each route takes one source or a block of sources (see :class:`SourcePair`)
 and returns :class:`SolutionSamples` with states shaped ``(times, *a.shape)``.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import as_matrix
-from .errors import ContourError, DefectiveClusterError, NumericsError
+from .errors import ContourError, NumericsError
 from .fraccalc import TimeGrid, mittag_leffler_kernel, rl_weights
 from .spectral import RieszData
 
@@ -54,8 +54,6 @@ __all__ = [
 ]
 
 _LOG_EPS = -math.log(np.finfo(float).eps)  # ~36.04
-# relative size of a cluster's nilpotent part above which the mode sum refuses it
-_NILPOTENT_TOL = 1e-8
 
 # measured stability boundary of the product-trapezoid step on the scalar
 # problem (bisection at K = 400): largest kappa0 * lambda with bounded
@@ -72,17 +70,10 @@ _PI_STABILITY_TABLE = (
 
 
 def _pi_stability_limit(alpha: float) -> float:
-    """Interpolated stability bound on kappa0 * ||A||, with a 0.9 margin."""
-    pts = _PI_STABILITY_TABLE
-    if alpha <= pts[0][0]:
-        return 0.9 * pts[0][1]
-    if alpha >= pts[-1][0]:
-        return 0.9 * pts[-1][1]
-    for (a0, v0), (a1, v1) in zip(pts, pts[1:]):
-        if a0 <= alpha <= a1:
-            frac = (alpha - a0) / (a1 - a0)
-            return 0.9 * (v0 + frac * (v1 - v0))
-    return 0.9 * pts[-1][1]  # pragma: no cover
+    """Interpolated stability bound on kappa0 * ||A||, with a 0.9 margin;
+    constant beyond the ends of the table."""
+    xs, ys = zip(*_PI_STABILITY_TABLE)
+    return 0.9 * float(np.interp(alpha, xs, ys))
 
 
 @dataclass
@@ -375,21 +366,15 @@ def solve_spectral_oracle(
 ) -> SolutionSamples:
     """Mode-wise solution  u(t) = sum_n [ E_{a,1}(-l_n t^a) P_n a + t E_{a,2}(-l_n t^a) P_n b ].
 
-    Valid only when every cluster is diagonalizable; a cluster with
-    ||D_n|| beyond 1e-8 (relative to max(1, |lambda_n|)) raises
-    :class:`DefectiveClusterError` instead of returning a silently wrong
-    answer.  Complex cluster eigenvalues are supported through the
-    Mittag-Leffler function at complex argument.  States are shaped
-    (times, *source.a.shape).
+    Valid only for reliable data of diagonalizable clusters:
+    :meth:`RieszData.check_diagonalizable` raises :class:`NumericsError`
+    (:class:`DefectiveClusterError` for a defective cluster) instead of
+    returning a silently wrong answer.  Complex cluster eigenvalues are
+    supported through the Mittag-Leffler function at complex argument.
+    States are shaped (times, *source.a.shape).
     """
     _check_alpha(alpha)
-    for lam, D in zip(riesz.eigenvalues, riesz.nilpotents):
-        defect = np.linalg.norm(D, 2) / max(1.0, abs(lam))
-        if defect > _NILPOTENT_TOL:
-            raise DefectiveClusterError(
-                f"cluster at {lam:.6g} has nilpotent part of relative size "
-                f"{defect:.3g}; the mode-sum oracle is invalid for defective clusters"
-            )
+    riesz.check_diagonalizable()
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
         raise ValueError("sample times must be nonnegative")

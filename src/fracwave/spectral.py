@@ -20,17 +20,21 @@ its complex conjugate.
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
 contour formulas are intrinsically complex.
+
+Whether the data can be trusted is decided once, where they are built:
+:meth:`RieszData.check` is the one reliability rule, which ``spectrum`` and
+the mode sum both apply.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .elliptic import as_matrix
-from .errors import ContourError, NumericsError
+from .errors import ContourError, DefectiveClusterError, NumericsError
 
 __all__ = [
     "Eigensystem",
@@ -54,13 +58,15 @@ RANK_TOL = 1e-8
 # kappa much faster than the contour's (demo operator at b1 = 30, kappa
 # 2.8e5: 3e-6 against 1.2e-10 for the contour)
 KAPPA_MAX = 10.0
-# largest eigenvalue condition number the spectral route accepts.  On the
-# demo operator the largest nilpotent part ||D_n|| / max(1, |lambda_n|) of
-# the simple clusters grows with kappa: 6e-10 at b1 = 30 (kappa 2.8e5), 6e-9
-# at b1 = 34 (kappa 3.2e6), 1.4e-8 at b1 = 35 (kappa 6e6).  From kappa ~5e6
-# on, the mode sum's 1e-8 check called simple eigenvalues defective (up to
-# b1 = 60, kappa 1.9e19); 1e6 stays a factor 5 below that and admits b1 = 30
+# The reliability rule (RieszData.check): simple clusters have condition
+# numbers <= CONDITION_MAX, identity residuals are <= IDENTITY_TOL, the
+# D-valued ones relative to max(1, |lambda_n|).  On the demo operator the
+# relative nilpotency grows with kappa: 4.5e-10 at b1 = 30 (kappa 2.8e5),
+# 2.3e-9 at b1 = 32 (9.2e5), 1.3e-8 at b1 = 35 (6e6)
 CONDITION_MAX = 1e6
+IDENTITY_TOL = 1e-8
+DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable cluster
+_ADVICE = "use the time-stepping route (--route timestep)"
 
 
 @dataclass
@@ -72,7 +78,8 @@ class Eigensystem:
     (indices into ``raw_eigenvalues``) and its eigenvalue ``condition``
     number ``||v|| ||w|| / |w^H v|``, which is inf for clusters with several
     members.  Built without them, every condition reads inf, so
-    :func:`compute_riesz_data` uses the contour for every cluster.
+    :func:`compute_riesz_data` uses the contour for every cluster and
+    :meth:`RieszData.check` refuses the single-eigenvalue ones.
     """
 
     eigenvalues: np.ndarray  # cluster centers, complex
@@ -103,28 +110,64 @@ class RieszData:
     """Per-cluster projections P_n, nilpotents D_n and numerical ranks d_n.
 
     Built by :func:`compute_riesz_data`, from eigenvectors or the contour
-    quadrature per cluster; the consumers cannot tell which.
+    quadrature per cluster; the consumers cannot tell which.  It also keeps
+    what :meth:`check` decides from: the eigenvalue ``condition`` numbers (0
+    for clusters of several eigenvalues), the ``identities`` report and the
+    relative ``defect`` ||D_n||_2 / max(1, |lambda_n|) of each cluster.
     """
 
     eigenvalues: np.ndarray
     radii: np.ndarray
     projections: list[np.ndarray] = field(repr=False)
     nilpotents: list[np.ndarray] = field(repr=False)
-    multiplicities: np.ndarray = field(default=None)
+    multiplicities: np.ndarray
+    condition: np.ndarray
+    defect: np.ndarray
+    identities: IdentityReport | None = field(default=None, repr=False)
 
     @property
     def n_clusters(self) -> int:
         return len(self.projections)
 
     def transpose(self) -> "RieszData":
-        """The Riesz data of A^T: P_n^T and D_n^T at the same eigenvalues."""
-        return RieszData(
-            eigenvalues=self.eigenvalues,
-            radii=self.radii,
+        """The Riesz data of A^T: P_n^T and D_n^T, refused exactly as the data of A."""
+        return replace(
+            self,
             projections=[P.T for P in self.projections],
             nilpotents=[D.T for D in self.nilpotents],
-            multiplicities=self.multiplicities,
         )
+
+    def check(self) -> None:
+        """Raise :class:`NumericsError` unless every simple cluster's condition
+        number is at most ``CONDITION_MAX`` and then the identities pass."""
+        i = int(np.argmax(self.condition))  # NaN counts as largest
+        if not self.condition[i] <= CONDITION_MAX:
+            raise NumericsError(
+                f"the eigenvalue {self.eigenvalues[i]:.6g} has condition number "
+                f"{self.condition[i]:.3g}, above {CONDITION_MAX:.3g}: its spectral "
+                f"projection is unreliable, {_ADVICE}"
+            )
+        report = self.identities
+        if not report.passed:
+            name, i, value = report.worst_entry()
+            where = "" if i is None else f" at the cluster {self.eigenvalues[i]:.6g}"
+            raise NumericsError(
+                f"Riesz projections fail their identities: {name} {value:.3g}{where} "
+                f"exceeds {report.tol:.3g}; the spectral route is unreliable for this "
+                f"operator, {_ADVICE}"
+            )
+
+    def check_diagonalizable(self) -> None:
+        """:meth:`check`, then :class:`DefectiveClusterError` for a cluster
+        whose ``defect`` exceeds ``DEFECT_TOL``."""
+        self.check()
+        i = int(np.argmax(self.defect))  # NaN counts as largest
+        if not self.defect[i] <= DEFECT_TOL:
+            raise DefectiveClusterError(
+                f"cluster at {self.eigenvalues[i]:.6g} has nilpotent part of relative "
+                f"size {self.defect[i]:.3g}; the mode-sum oracle is invalid for "
+                f"defective clusters, {_ADVICE}"
+            )
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -302,39 +345,57 @@ def compute_riesz_data(
     multiplicity is the numerical rank of P_n (robust under clustering
     decisions), not the eigensolver count.  ``nodes`` is checked up front,
     also when no cluster needs the contour.
+    It also records the single-eigenvalue clusters' condition numbers (inf
+    for an eigensystem without eigenvectors), the :func:`verify_identities`
+    report and the defects; a rank-one D = r u^H has ||D||_2 = ||r|| ||u||.
     """
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A)
     clusters = zip(eigsys.eigenvalues, eigsys.radii, eigsys.uses_eigenvectors())
-    Ps, Ds, ranks = [], [], []
+    Ps, Ds, ranks, defects = [], [], [], []
     for i, (lam, rad, simple) in enumerate(clusters):
         if simple:
             k = eigsys.members[i][0]
             v = eigsys.right_vectors[:, k].astype(complex)
             wh = eigsys.left_vectors[:, k].conj()
             u = wh / (wh @ v)
+            r = mat @ v - lam * v
             P = np.outer(v, u)
-            D = np.outer(mat @ v - lam * v, u)
+            D = np.outer(r, u)
             rank = 1
+            defect = np.linalg.norm(r) * np.linalg.norm(u)
         else:
             P, D = riesz_projection(A, lam, rad, nodes, eigenvalues=eigsys.raw_eigenvalues)
             rank = max(_numerical_rank(P), 1)
+            defect = np.linalg.norm(D, 2)
         Ps.append(P)
         Ds.append(D)
         ranks.append(rank)
-    return RieszData(
+        defects.append(defect / max(1.0, abs(lam)))
+    rd = RieszData(
         eigenvalues=eigsys.eigenvalues.copy(),
         radii=eigsys.radii.copy(),
         projections=Ps,
         nilpotents=Ds,
         multiplicities=np.array(ranks),
+        condition=np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0),
+        defect=np.array(defects),
     )
+    rd.identities = verify_identities(A, rd)
+    return rd
 
 
 @dataclass
 class IdentityReport:
-    """Max-norm residuals of the projection algebra, per cluster."""
+    """Max-norm residuals of the projection algebra, per cluster.
+
+    :attr:`passed` takes the D-valued ones relative to max(1, |lambda_n|), as
+    those of (A - lambda_n) P_n grow with |lambda_n|; the rest are absolute.
+    """
+
+    # the P-valued residual first, then the D-valued ones
+    NAMES = ("res_idempotent", "res_nilpotent_form", "res_commute", "res_nilpotency")
 
     eigenvalues: np.ndarray
     res_idempotent: np.ndarray  # ||P^2 - P||
@@ -346,53 +407,50 @@ class IdentityReport:
 
     @property
     def worst(self) -> float:
-        """Largest residual over all clusters and identities, completeness included."""
-        parts = (self.res_idempotent, self.res_nilpotent_form, self.res_commute, self.res_nilpotency)
+        """Largest absolute residual over all clusters and identities, completeness included."""
+        parts = [getattr(self, name) for name in self.NAMES]
         return float(np.max(np.concatenate([*parts, [self.completeness]])))
 
     @property
     def passed(self) -> bool:
-        return bool(self.worst <= self.tol)
+        return bool(self.worst_entry()[2] <= self.tol)
 
     def worst_entry(self) -> tuple[str, int | None, float]:
-        """(residual name, cluster index, value) of the largest residual; the
-        index is None when the completeness defect is the largest."""
-        names = ("res_idempotent", "res_nilpotent_form", "res_commute", "res_nilpotency")
-        table = np.array([getattr(self, name) for name in names])
-        row, col = np.unravel_index(np.argmax(table), table.shape)  # NaN counts as largest
-        if self.completeness > table[row, col]:
+        """(residual name, cluster index, value) of the largest residual as
+        :attr:`passed` scales it; the index is None for the completeness defect."""
+        table = np.array([getattr(self, name) for name in self.NAMES])
+        table[1:] /= np.maximum(1.0, np.abs(self.eigenvalues))
+        flat = np.append(table.ravel(), self.completeness)
+        k = int(np.argmax(flat))  # NaN counts as largest
+        if k == table.size:
             return "completeness", None, self.completeness
-        return names[row], int(col), float(table[row, col])
+        row, col = divmod(k, table.shape[1])
+        name = self.NAMES[row] + (" / max(1, |lambda|)" if row else "")
+        return name, col, float(flat[k])
 
 
 def _maxabs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def verify_identities(A, rd: RieszData, tol: float = 1e-8) -> IdentityReport:
+def verify_identities(A, rd: RieszData, tol: float = IDENTITY_TOL) -> IdentityReport:
     """Residuals of the four projection identities plus completeness."""
     mat = as_matrix(A).astype(complex)
-    nc = rd.n_clusters
-    r_idem = np.empty(nc)
-    r_form = np.empty(nc)
-    r_comm = np.empty(nc)
-    r_nilp = np.empty(nc)
-    for i in range(nc):
-        P, D, lam, d = rd.projections[i], rd.nilpotents[i], rd.eigenvalues[i], int(
-            rd.multiplicities[i]
+    eye = np.eye(mat.shape[0])
+    rows = []
+    for P, D, lam, d in zip(rd.projections, rd.nilpotents, rd.eigenvalues, rd.multiplicities):
+        DP = D @ P  # also D^d P for d = 1, bitwise as matrix_power(D, 1) @ P
+        rows.append(
+            (
+                _maxabs(P @ P - P),
+                _maxabs(D - (mat - lam * eye) @ P),
+                _maxabs(DP - P @ D),
+                _maxabs(DP if d == 1 else np.linalg.matrix_power(D, int(d)) @ P),
+            )
         )
-        r_idem[i] = _maxabs(P @ P - P)
-        r_form[i] = _maxabs(D - (mat - lam * np.eye(mat.shape[0])) @ P)
-        r_comm[i] = _maxabs(D @ P - P @ D)
-        r_nilp[i] = _maxabs(np.linalg.matrix_power(D, d) @ P)
+    residuals = dict(zip(IdentityReport.NAMES, np.array(rows).T))
     return IdentityReport(
-        eigenvalues=rd.eigenvalues.copy(),
-        res_idempotent=r_idem,
-        res_nilpotent_form=r_form,
-        res_commute=r_comm,
-        res_nilpotency=r_nilp,
-        completeness=completeness_defect(rd),
-        tol=tol,
+        rd.eigenvalues.copy(), **residuals, completeness=completeness_defect(rd), tol=tol
     )
 
 
@@ -472,31 +530,9 @@ def write_spectrum_csv(
     :func:`contour_difference` of its projection."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "re_lambda",
-                "im_lambda",
-                "multiplicity",
-                "radius",
-                "res_idempotent",
-                "res_nilpotent_form",
-                "res_commute",
-                "res_nilpotency",
-                "contour_difference",
-            ]
-        )
-        for i in range(rd.n_clusters):
-            lam = rd.eigenvalues[i]
-            writer.writerow(
-                [
-                    f"{lam.real:.17g}",
-                    f"{lam.imag:.17g}",
-                    int(rd.multiplicities[i]),
-                    f"{rd.radii[i]:.17g}",
-                    f"{report.res_idempotent[i]:.6g}",
-                    f"{report.res_nilpotent_form[i]:.6g}",
-                    f"{report.res_commute[i]:.6g}",
-                    f"{report.res_nilpotency[i]:.6g}",
-                    f"{contour_diff[i]:.6g}",
-                ]
-            )
+        columns = ["re_lambda", "im_lambda", "multiplicity", "radius", *report.NAMES]
+        writer.writerow([*columns, "contour_difference"])
+        for i, lam in enumerate(rd.eigenvalues):
+            head = [f"{lam.real:.17g}", f"{lam.imag:.17g}", int(rd.multiplicities[i])]
+            residuals = [f"{getattr(report, name)[i]:.6g}" for name in report.NAMES]
+            writer.writerow([*head, f"{rd.radii[i]:.17g}", *residuals, f"{contour_diff[i]:.6g}"])

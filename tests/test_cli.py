@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracwave.solver
 import fracwave.spectral
 from fracwave.cli import main
-from fracwave.fraccalc import mittag_leffler
+from fracwave.config import load_config
+from fracwave.fraccalc import TimeGrid, mittag_leffler
+from fracwave.solver import solve
 
 NEAR_ZERO_OPERATOR = """
 [problem]
@@ -457,6 +461,49 @@ class TestNumericalFailures:
             assert "defective" not in err
             argv = ["simulate", "--config", cfg, "--route", "timestep"]
             assert main([*argv, "--out", str(tmp_path / "t")]) == 0
+
+
+    @pytest.mark.parametrize("b1, code", [("22", 0), ("30", 0), ("32", 0), ("33", 2)])
+    def test_spectrum_and_spectral_route_exit_alike(self, tmp_path, capsys, b1, code):
+        # both apply one reliability rule to the same Riesz data; spectrum once
+        # exited 2 on b1 = 22-32 by absolute residuals that grow with |lambda|
+        text = CHECKED_IN["demo"].read_text().replace("b1 = 1\n", f"b1 = {b1}\n")
+        cfg = write(tmp_path, text)
+        for argv in (["spectrum"], ["simulate", "--route", "spectral"]):
+            assert main([*argv, "--config", cfg, "--out", str(tmp_path / argv[0])]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.count("has condition number") == 2 and "above 1e+06" in err
+            assert err.count("use the time-stepping route (--route timestep)") == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(b1=st.floats(0.0, 100.0), interior=st.integers(8, 12))
+def test_spectral_route_agrees_with_a_fine_march_or_both_commands_refuse(
+    tmp_path_factory, b1, interior
+):
+    # The mode sum's distance to a K = 4096 march is the march's own O(dt^2)
+    # error, 1/3 of the K = 2048 vs 4096 difference: measured 0.332-0.335
+    # over 80 random (N, b1), with differences from 3e-7 to 5e-3
+    tmp = tmp_path_factory.mktemp("sweep")
+    text = CHECKED_IN["demo"].read_text().replace("b1 = 1\n", f"b1 = {b1!r}\n")
+    cfg = write(tmp, text.replace("interior = 32\n", f"interior = {interior}\n"))
+    codes = [
+        main([*argv, "--config", cfg, "--out", str(tmp / argv[0])])
+        for argv in (["spectrum"], ["simulate", "--route", "spectral"])
+    ]
+    assert codes[0] == codes[1]
+    if codes[0]:
+        return
+    config = load_config(cfg)
+    op, source, times = config.build_operator(), config.build_source(), config.solver_times()
+    mode_sum = np.array([read_slice(tmp / "simulate" / f"u_spectral_t{t:.6g}.csv") for t in times])
+    fine, coarse = (
+        solve(op, source, config.problem.alpha, times, TimeGrid(config.problem.T, K)).states
+        for K in (4096, 2048)
+    )
+    for u, f, c in zip(mode_sum, fine, coarse):
+        assert np.linalg.norm(u - f) <= 0.4 * np.linalg.norm(c - f)
 
 
 class TestSelftestAndUsage:

@@ -459,6 +459,11 @@ class TestInversion:
 
 
 class TestExports:
+    def test_json_outputs_are_indented_sorted_with_a_trailing_newline(self, tmp_path):
+        path = tmp_path / "out.json"
+        fracwave.observability._write_json(path, {"rank": 3, "alpha": 1.5, "route": None})
+        assert path.read_text() == '{\n  "alpha": 1.5,\n  "rank": 3,\n  "route": null\n}\n'
+
     def test_singular_values_and_recovery_csv(self, tmp_path, riesz):
         mesh, op = make_operator(6)
         x = mesh.axis_nodes(0)

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from fracwave.elliptic import CoefficientField, Mesh, as_matrix, assemble
 from fracwave.errors import DefectiveClusterError, NumericsError
 from fracwave.fraccalc import TimeGrid, mittag_leffler, rl_weights
+from fracwave.observability import ObservationSetup, build_observation_map
 from fracwave.solver import (
+    _PI_STABILITY_TABLE,
     LaplaceContour,
     SourcePair,
+    _pi_stability_limit,
     growth_probe,
     laplace_identity_check,
     route_difference,
@@ -172,6 +175,27 @@ def reference_march(A, source, alpha, times, grid, lu=False):
     return states.reshape(len(idx), *source.a.shape)
 
 
+def _pi_stability_limit_by_loop(alpha):
+    """The table interpolation as a loop over its intervals."""
+    pts = _PI_STABILITY_TABLE
+    if alpha <= pts[0][0]:
+        return 0.9 * pts[0][1]
+    if alpha >= pts[-1][0]:
+        return 0.9 * pts[-1][1]
+    for (a0, v0), (a1, v1) in zip(pts, pts[1:]):
+        if a0 <= alpha <= a1:
+            frac = (alpha - a0) / (a1 - a0)
+            return 0.9 * (v0 + frac * (v1 - v0))
+
+
+def test_stability_limit_interpolates_the_table():
+    xs = np.array([a for a, _ in _PI_STABILITY_TABLE])
+    mids = 0.5 * (xs[1:] + xs[:-1])
+    for alpha in [1.0, 1.01, *xs, *mids, 1.999, 2.5]:
+        want = _pi_stability_limit_by_loop(alpha)
+        assert _pi_stability_limit(alpha) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 class TestTimestepMarch:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,6 +334,20 @@ class TestSpectralOracle:
         rd = compute_riesz_data(J, eigendecompose(J, cluster_tol=1e-6))
         with pytest.raises(DefectiveClusterError):
             solve_spectral_oracle(rd, SourcePair([1.0, 0.0], [0.0, 0.0]), ALPHA, [1.0])
+
+    def test_library_callers_get_the_cli_refusal(self):
+        # the demo operator at b1 = 34: largest eigenvalue condition number 3.2e6
+        mesh = Mesh((0.0,), (1.0,), (32,))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=34.0))
+        x = mesh.axis_nodes(0)
+        src = SourcePair(np.sin(np.pi * x), x * (1.0 - x))
+        riesz = compute_riesz_data(op, eigendecompose(op))
+        refusal = r"has condition number 3\.\d+e\+06, above 1e\+06"
+        with pytest.raises(NumericsError, match=refusal):
+            solve(op, src, ALPHA, [0.25, 0.5, 1.0], riesz)
+        setup = ObservationSetup(np.arange(8), np.geomspace(1e-3, 1.0, 16), riesz)
+        with pytest.raises(NumericsError, match=refusal):
+            build_observation_map(op, ALPHA, setup)
 
     def test_complex_pair_real_output(self):
         # rotation-like block has complex conjugate eigenvalues

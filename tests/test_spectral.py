@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from fracwave import spectral
 from fracwave.elliptic import CoefficientField, Mesh, assemble
-from fracwave.errors import ContourError, NumericsError
+from fracwave.errors import ContourError, DefectiveClusterError, NumericsError
 from fracwave.spectral import (
     DEFAULT_CONTOUR_NODES,
     KAPPA_MAX,
+    IdentityReport,
     completeness_defect,
     compute_riesz_data,
     eigendecompose,
@@ -431,6 +433,92 @@ class TestIdentities:
         A = np.eye(4)
         rd = compute_riesz_data(A, eigendecompose(A, cluster_tol=1e-8))
         assert completeness_defect(rd) < 1e-12
+
+
+def report(eigenvalues, completeness=0.0, **residuals):
+    """An IdentityReport with zero residuals except the given ones."""
+    zeros = {name: np.zeros(len(eigenvalues)) for name in IdentityReport.NAMES}
+    fields = {**zeros, **{k: np.asarray(v, dtype=float) for k, v in residuals.items()}}
+    lams = np.asarray(eigenvalues, dtype=complex)
+    return IdentityReport(lams, **fields, completeness=completeness, tol=1e-8)
+
+
+class TestReliabilityRule:
+    """One rule decides whether Riesz data can be trusted (RieszData.check)."""
+
+    def test_d_valued_residuals_are_relative_to_the_eigenvalue(self):
+        # the demo operator at b1 = 32: absolute nilpotency 4.8e-6 at |lambda| ~ 2e3
+        assert report([1.0, 2000.0], res_nilpotency=[0.0, 5e-7]).passed
+        assert report([1.0, 2000.0], res_nilpotent_form=[0.0, 1.9e-5]).passed
+        assert not report([1.0, 2000.0], res_commute=[0.0, 2.1e-5]).passed
+        # below |lambda| = 1 the residuals stay absolute
+        assert not report([0.5, 2.0], res_nilpotency=[2e-8, 0.0]).passed
+
+    def test_p_valued_residuals_are_absolute(self):
+        rep = report([1.0, 2000.0], res_idempotent=[0.0, 5e-7])
+        assert not rep.passed
+        assert rep.worst_entry() == ("res_idempotent", 1, 5e-7)
+        rep = report([1.0, 2000.0], completeness=2e-8)
+        assert not rep.passed and rep.worst_entry() == ("completeness", None, 2e-8)
+
+    def test_worst_entry_names_the_scaled_residual(self):
+        name, i, value = report([1.0, 2000.0], res_nilpotency=[0.0, 5e-5]).worst_entry()
+        assert (name, i) == ("res_nilpotency / max(1, |lambda|)", 1)
+        assert value == pytest.approx(2.5e-8)
+
+    def test_nan_fails(self):
+        assert not report([1.0, 2.0], res_commute=[np.nan, 0.0]).passed
+        assert not report([1.0, 2.0], completeness=np.nan).passed
+
+    def test_worst_stays_absolute(self):
+        # criterion 4 prints the absolute residuals
+        assert report([1.0, 2000.0], res_nilpotency=[0.0, 5e-7]).worst == 5e-7
+
+    def test_built_data_carry_the_rule(self, advection_operator):
+        es = eigendecompose(advection_operator)
+        rd = compute_riesz_data(advection_operator, es)
+        np.testing.assert_array_equal(rd.condition, es.condition)
+        assert rd.identities.worst == verify_identities(advection_operator, rd).worst
+        rd.check_diagonalizable()
+        # the rank-one defect ||r|| ||u|| is the spectral norm of D = r u^H
+        norms = [np.linalg.norm(D, 2) for D in rd.nilpotents]
+        want = norms / np.maximum(1.0, np.abs(rd.eigenvalues))
+        np.testing.assert_allclose(rd.defect, want, rtol=1e-10, atol=1e-300)
+
+    def test_refuses_the_condition_number_first(self, advection_operator):
+        rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
+        bad = report(rd.eigenvalues, res_idempotent=np.full(rd.n_clusters, 1.0))
+        condition = rd.condition.copy()
+        condition[3] = 2e6
+        with pytest.raises(NumericsError, match="fail their identities: res_idempotent 1 at"):
+            dataclasses.replace(rd, identities=bad).check()
+        with pytest.raises(NumericsError, match=r"has condition number 2e\+06, above 1e\+06"):
+            dataclasses.replace(rd, identities=bad, condition=condition).check()
+        condition[3] = np.nan
+        with pytest.raises(NumericsError, match="use the time-stepping route"):
+            dataclasses.replace(rd, condition=condition).check()
+
+    def test_jordan_block_is_reliable_but_not_diagonalizable(self):
+        J = jordan(5.0, 2)
+        rd = compute_riesz_data(J, eigendecompose(J, cluster_tol=1e-6))
+        assert rd.condition.tolist() == [0.0]  # a cluster of two eigenvalues
+        rd.check()
+        with pytest.raises(DefectiveClusterError, match="relative size 0.2"):
+            rd.check_diagonalizable()
+
+    def test_eigensystem_without_eigenvectors_is_refused(self):
+        A = np.diag([1.0, 2.0])
+        es = eigendecompose(A, cluster_tol=1e-8)
+        bare = spectral.Eigensystem(es.eigenvalues, es.radii, es.multiplicities, es.raw_eigenvalues)
+        with pytest.raises(NumericsError, match="condition number inf"):
+            compute_riesz_data(A, bare).check()
+
+    def test_transpose_is_refused_as_the_original(self, advection_operator):
+        rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
+        rdt = rd.transpose()
+        assert rdt.condition is rd.condition and rdt.defect is rd.defect
+        assert rdt.identities is rd.identities
+        np.testing.assert_array_equal(rdt.projections[0], rd.projections[0].T)
 
 
 class TestLemma3:
