@@ -163,7 +163,9 @@ class InjectivityReport:
 def injectivity_report(obsmap: ObservationMap) -> InjectivityReport:
     """Numerical rank of the observation map against the full-rank expectation.
 
-    The threshold is the LAPACK-style max(shape) * eps * sigma_1.
+    The threshold is the LAPACK-style max(shape) * eps * sigma_1.  Below full
+    rank the condition number is inf: sigma_min is then at rounding level,
+    and sigma_1 / sigma_min would report that noise as a figure.
     """
     s = obsmap.singular_values
     smax = float(s[0]) if s.size else 0.0
@@ -175,7 +177,7 @@ def injectivity_report(obsmap: ObservationMap) -> InjectivityReport:
     return InjectivityReport(
         sigma_min=smin,
         sigma_max=smax,
-        condition=smax / smin if smin > 0 else math.inf,
+        condition=smax / smin if rank == expected else math.inf,
         numerical_rank=rank,
         expected_rank=expected,
         injective=rank == expected,

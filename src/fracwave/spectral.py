@@ -13,9 +13,12 @@ eigenvalue: there P_n = v w^H / (w^H v) and D_n = (A - lambda_n) P_n.  Clusters 
 repeated eigenvalues) and ill-conditioned simple eigenvalues get P_n and D_n
 by trapezoid quadrature of the resolvent on a circle, which is also the
 cross-check of the eigenvector projections (:func:`contour_difference`).  The
-quadrature solves all its nodes in one stacked solve, and for a real matrix
-and a real center only the upper half of the circle, the lower half being
-its complex conjugate.
+quadrature inverts its nodes in stacks of ``_STACK`` and sums each stack
+with one matrix product, and for a real matrix and a real center it keeps
+only the upper half of the circle, the lower half being its complex
+conjugate.  The contour clusters are independent, so both callers run them
+on one thread per usable core; LAPACK and BLAS release the interpreter lock,
+and the results are bitwise those of a serial loop.
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -29,6 +32,8 @@ the mode sum both apply.
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +71,11 @@ KAPPA_MAX = 10.0
 CONDITION_MAX = 1e6
 IDENTITY_TOL = 1e-8
 DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable cluster
+# contour nodes per np.linalg.inv call; the threads' malloc arenas keep what
+# their stacks freed: on bench/riesz2d.ini (32 kept nodes of 48 x 48) the
+# peak RSS of the four commands rose by 1.2 MB with stacks of 8 and by 3.8 MB
+# with one 32-node stack, at the same speed
+_STACK = 8
 _ADVICE = "use the time-stepping route (--route timestep)"
 
 
@@ -278,10 +288,12 @@ def riesz_projection(
     conj R(z) and node k pairs with node nodes-1-k, so only the nodes with
     theta_k in (0, pi] are solved: each pair counts twice and the real part
     is kept (for odd ``nodes`` the single node at theta = pi counts once).
-    All kept nodes go through one stacked solve.  P and D are complex either
-    way.  When ``eigenvalues`` is supplied, a circle too close to the
-    spectrum raises :class:`ContourError` with the offending distance; a
-    singular node raises it too.
+    The kept nodes are inverted in stacks of at most ``_STACK``, and each
+    stack adds to both sums in one product of the (2, stack) weights with the
+    flattened inverses; the stacks are summed in node order.  P and D are
+    complex either way.  When ``eigenvalues`` is supplied, a circle too close
+    to the spectrum raises :class:`ContourError` with the offending distance;
+    a singular node raises it too.
     """
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
@@ -303,25 +315,77 @@ def riesz_projection(
     w = radius * phase / nodes
     if conjugate:
         w[: nodes // 2] *= 2.0  # the mirror node's conjugate term
-    # z_k I - A for every kept node, built in place (no stacked temporaries)
-    shifted = np.empty((len(k), n, n), dtype=complex)
-    np.negative(mat, out=shifted)
+    weights = np.stack([w, w * (zs - lam)])  # the rows of P and of D
+    sums = np.zeros((2, n * n), dtype=complex)
+    # z_k I - A for a stack of nodes, built in place in one buffer
+    shifted = np.empty((min(_STACK, len(k)), n, n), dtype=complex)
     diag = np.arange(n)
-    shifted[:, diag, diag] += zs[:, None]
-    # numpy < 2 would read an (n, n) right-hand side as a stack of vectors;
-    # a complex identity needs no cast copy of the whole stack
-    rhs = np.broadcast_to(np.eye(n, dtype=complex), (len(k), n, n))
-    try:
-        res = np.linalg.solve(shifted, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ContourError(
-            f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"
-        ) from exc
-    P = np.tensordot(w, res, axes=1)
-    D = np.tensordot(w * (zs - lam), res, axes=1)
+    for start in range(0, len(k), _STACK):
+        stack = shifted[: len(k) - start]
+        np.negative(mat, out=stack)
+        stack[:, diag, diag] += zs[start : start + _STACK, None]
+        try:
+            res = np.linalg.inv(stack)
+        except np.linalg.LinAlgError as exc:
+            raise ContourError(
+                f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"
+            ) from exc
+        sums += weights[:, start : start + _STACK] @ res.reshape(len(stack), n * n)
+    P, D = sums.reshape(2, n, n)
     if conjugate:
         P, D = P.real.astype(complex), D.real.astype(complex)
     return P, D
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_contour(A, eigsys: Eigensystem, clusters, nodes: int, f) -> list:
+    """``[f(i, *riesz_projection(...)) for i in clusters]``, on every usable core.
+
+    The calling thread and one more thread per further usable core take the
+    clusters one at a time; LAPACK and BLAS release the interpreter lock, so
+    they run at once.  ``f`` runs in the thread that made P and D, so only
+    what it keeps outlives them.  The first failing cluster in list order
+    raises, as in the serial loop.
+    """
+    out = [None] * len(clusters)
+    errors = {}
+    todo = iter(range(len(clusters)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                j = next(todo, None)
+            if j is None:
+                return
+            i = clusters[j]
+            try:
+                P, D = riesz_projection(
+                    A, eigsys.eigenvalues[i], eigsys.radii[i], nodes,
+                    eigenvalues=eigsys.raw_eigenvalues,
+                )
+                out[j] = f(i, P, D)
+            except Exception as exc:  # raised below, in the caller's thread
+                errors[j] = exc
+
+    threads = min(_usable_cores(), len(clusters))
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -352,10 +416,15 @@ def compute_riesz_data(
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A)
-    clusters = zip(eigsys.eigenvalues, eigsys.radii, eigsys.uses_eigenvectors())
+    simple = eigsys.uses_eigenvectors()
+
+    def contour(i, P, D):
+        return P, D, max(_numerical_rank(P), 1), np.linalg.norm(D, 2)
+
+    built = iter(_map_contour(A, eigsys, np.flatnonzero(~simple), nodes, contour))
     Ps, Ds, ranks, defects = [], [], [], []
-    for i, (lam, rad, simple) in enumerate(clusters):
-        if simple:
+    for i, lam in enumerate(eigsys.eigenvalues):
+        if simple[i]:
             k = eigsys.members[i][0]
             v = eigsys.right_vectors[:, k].astype(complex)
             wh = eigsys.left_vectors[:, k].conj()
@@ -366,9 +435,7 @@ def compute_riesz_data(
             rank = 1
             defect = np.linalg.norm(r) * np.linalg.norm(u)
         else:
-            P, D = riesz_projection(A, lam, rad, nodes, eigenvalues=eigsys.raw_eigenvalues)
-            rank = max(_numerical_rank(P), 1)
-            defect = np.linalg.norm(D, 2)
+            P, D, rank, defect = next(built)
         Ps.append(P)
         Ds.append(D)
         ranks.append(rank)
@@ -515,11 +582,10 @@ def contour_difference(
     quadrature runs exactly once per cluster over both calls.
     """
     diff = np.zeros(eigsys.n_clusters)
-    for i in np.flatnonzero(eigsys.uses_eigenvectors()):
-        P, _ = riesz_projection(
-            A, eigsys.eigenvalues[i], eigsys.radii[i], nodes, eigenvalues=eigsys.raw_eigenvalues
-        )
-        diff[i] = _maxabs(P - rd.projections[i])
+    clusters = np.flatnonzero(eigsys.uses_eigenvectors())
+    diff[clusters] = _map_contour(
+        A, eigsys, clusters, nodes, lambda i, P, D: _maxabs(P - rd.projections[i])
+    )
     return diff
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from fracwave.elliptic import CoefficientField, Mesh, assemble, subdomain_indice
 from fracwave.errors import ContourError, NumericsError
 from fracwave.fraccalc import TimeGrid, mittag_leffler
 from fracwave.observability import (
+    ObservationMap,
     ObservationSetup,
     ProbeVector,
     branch_identity_probe,
@@ -307,6 +309,18 @@ class TestInjectivity:
             )
             rep = injectivity_report(build_observation_map(op, ALPHA, setup))
             assert rep.numerical_rank == 2 * n, f"N={n}"
+
+    def test_rank_deficient_map_has_no_condition_number(self):
+        # sigma_min is positive but below the rank threshold 2 eps sigma_1
+        s = np.array([1.0, 1e-20])
+        rep = injectivity_report(ObservationMap(np.diag(s), None, 1, singular_values=s))
+        assert rep.numerical_rank == 1 and not rep.injective
+        assert rep.sigma_min == 1e-20 and rep.condition == math.inf
+
+    def test_injective_map_keeps_its_condition_number(self):
+        s = np.array([2.0, 0.5])
+        rep = injectivity_report(ObservationMap(np.diag(s), None, 1, singular_values=s))
+        assert rep.injective and rep.condition == 4.0
 
     def test_duplicated_rows_leave_rank_unchanged(self, riesz):
         mesh, op = make_operator(6)

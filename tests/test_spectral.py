@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -220,21 +221,25 @@ class TestRieszProjection:
         (np.diag([1.0, 2.0]), 1.0 + 0.1j, 64),
         (np.diag([1.0, 2.0]).astype(complex), 1.0, 64),
     ])
-    def test_one_stacked_solve(self, monkeypatch, A, lam, solved):
+    def test_inverse_stacks_of_at_most_8(self, monkeypatch, A, lam, solved):
         stacks = []
-        original = np.linalg.solve
+        original = np.linalg.inv
 
-        def counted(a, b):
+        def counted(a):
             stacks.append(a.shape)
-            return original(a, b)
+            return original(a)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("per-node scipy.linalg.solve call")
+            raise AssertionError("resolvent by a solve call")
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(scipy.linalg, "solve", forbidden)
         riesz_projection(A, lam, 0.4, 64)
-        assert stacks == [(solved, 2, 2)]
+        assert spectral._STACK == 8
+        assert all(shape[1:] == (2, 2) for shape in stacks)
+        sizes = [shape[0] for shape in stacks]
+        assert max(sizes) <= 8 and sum(sizes) == solved
 
 
 def reference_contour(A, lam, radius, nodes):
@@ -397,6 +402,72 @@ class TestTwoConstructions:
         J = jordan(2.0, 3)
         esj = eigendecompose(J, cluster_tol=1e-5)
         assert spectral.contour_difference(J, esj, compute_riesz_data(J, esj)).tolist() == [0.0]
+
+
+class TestContourThreads:
+    """Contour clusters run on one thread per usable core, bitwise as on one."""
+
+    @pytest.mark.parametrize("grid, b1", [((4, 4), 0.0), ((32,), 30.0)], ids=["2d-mixed", "1d-b1-30"])
+    def test_worker_count_leaves_the_bits(self, monkeypatch, grid, b1):
+        dim = len(grid)
+        mesh = Mesh((0.0,) * dim, (1.0,) * dim, grid)
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=b1))
+        es = eigendecompose(op)
+        assert not es.uses_eigenvectors().all()
+        runs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(spectral, "_usable_cores", lambda cores=cores: cores)
+            rd = compute_riesz_data(op, es)
+            runs.append((rd, spectral.contour_difference(op, es, rd)))
+        (rd1, diff1), (rd4, diff4) = runs
+        for name in ("projections", "nilpotents"):
+            for X1, X4 in zip(getattr(rd1, name), getattr(rd4, name)):
+                assert np.array_equal(X1, X4)
+        assert np.array_equal(rd1.multiplicities, rd4.multiplicities)
+        assert np.array_equal(rd1.defect, rd4.defect)
+        assert np.array_equal(diff1, diff4)
+
+    def test_every_cluster_once_under_fast_switching(self, monkeypatch, advection_operator):
+        es = eigendecompose(advection_operator)
+        rd = compute_riesz_data(advection_operator, es)
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
+        serial = spectral.contour_difference(advection_operator, es, rd)
+        calls = []
+        original = spectral.riesz_projection
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "riesz_projection", counted)
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: 8)  # more threads than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = spectral.contour_difference(advection_operator, es, rd)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls, key=lambda z: (z.real, z.imag)) == list(es.eigenvalues)
+        assert np.array_equal(threaded, serial)
+
+    def test_first_failing_circle_raises(self, monkeypatch):
+        # the circles around 1 and 2 (radius 1) both pass through eigenvalues;
+        # the second cluster's error surfaces, as in a serial loop
+        A = np.diag([0.0, 1.0, 2.0])
+        raw = np.array([0.0, 1.0, 2.0], dtype=complex)
+        radii = np.array([0.4, 1.0, 1.0])
+        with pytest.raises(ContourError) as serial:
+            riesz_projection(A, raw[1], radii[1], 64, eigenvalues=raw)
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: 4)
+        bare = spectral.Eigensystem(raw, radii, np.ones(3, dtype=int), raw)
+        with pytest.raises(ContourError) as threaded:
+            compute_riesz_data(A, bare)
+        assert str(threaded.value) == str(serial.value)
+        tagged = dataclasses.replace(bare, condition=np.ones(3))  # all eigenvector clusters
+        rd = compute_riesz_data(A, eigendecompose(A, cluster_tol=1e-8))
+        with pytest.raises(ContourError) as threaded:
+            spectral.contour_difference(A, tagged, rd)
+        assert str(threaded.value) == str(serial.value)
 
 
 class TestIdentities:
