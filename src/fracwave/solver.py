@@ -394,17 +394,17 @@ def solve_spectral_oracle(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
         raise ValueError("sample times must be nonnegative")
-    n = riesz.projections[0].shape[0]
+    n = riesz.V.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
     # one kernel call per beta over all (time, cluster) arguments, then sums
-    # over the clusters n of E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b
+    # over the clusters n of E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b,
+    # each P_n x formed first: for a unit source it is an exact selection
     z = -np.outer(times**alpha, riesz.eigenvalues)
-    proj = np.asarray(riesz.projections)
-    states_c = np.tensordot(mittag_leffler_kernel(alpha, 1.0, z), proj @ source.a, axes=1)
+    states_c = np.tensordot(mittag_leffler_kernel(alpha, 1.0, z), riesz.apply(source.a), axes=1)
     if np.any(source.b):
         te2 = times[:, None] * mittag_leffler_kernel(alpha, 2.0, z)
-        states_c += np.tensordot(te2, proj @ source.b, axes=1)
+        states_c += np.tensordot(te2, riesz.apply(source.b), axes=1)
     # largest |imaginary| and |real| parts, without |x| temporaries
     imag, real = states_c.imag, states_c.real
     imag_resid = float(max(imag.max(initial=0.0), -imag.min(initial=0.0)))

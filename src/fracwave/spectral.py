@@ -9,16 +9,19 @@ verifies the algebra these objects must satisfy:
 
 One eigendecomposition A V = V diag(lambda), with the left eigenvectors read
 off inv(V), serves every cluster that is a single well-conditioned
-eigenvalue: there P_n = v w^H / (w^H v) and D_n = (A - lambda_n) P_n.  Clusters with several members (Jordan blocks,
-repeated eigenvalues) and ill-conditioned simple eigenvalues get P_n and D_n
-by trapezoid quadrature of the resolvent on a circle, which is also the
-cross-check of the eigenvector projections (:func:`contour_difference`).  The
-quadrature inverts its nodes in stacks of ``_STACK`` and sums each stack
-with one matrix product, and for a real matrix and a real center it keeps
-only the upper half of the circle, the lower half being its complex
-conjugate.  The contour clusters are independent, so both callers run them
-on one thread per usable core; LAPACK and BLAS release the interpreter lock,
-and the results are bitwise those of a serial loop.
+eigenvalue: P_n = v u^T and D_n = r u^T (u.v = 1, r = A v - lambda_n v) are
+kept as the three vectors, and each identity residual is an O(N) scalar (the
+nilpotent form holds by construction; :func:`verify_identities`).  Clusters
+with several members (Jordan blocks, repeated eigenvalues) and
+ill-conditioned simple eigenvalues get dense P_n and D_n by trapezoid
+quadrature of the resolvent on a circle, which is also the cross-check of
+the eigenvector projections (:func:`contour_difference`).  The quadrature
+inverts its nodes in stacks of ``_STACK`` and sums each stack with one
+matrix product, and for a real matrix and a real center it keeps only the
+upper half of the circle, the lower half being its complex conjugate.  The
+contour clusters are independent, so both callers run them on one thread
+per usable core; LAPACK and BLAS release the interpreter lock, and the
+results are bitwise those of a serial loop.
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -110,42 +113,69 @@ class Eigensystem:
     def n_clusters(self) -> int:
         return len(self.eigenvalues)
 
-    def uses_eigenvectors(self) -> np.ndarray:
-        """Mask of the clusters whose projection is built from eigenvectors."""
-        return self.condition <= KAPPA_MAX
-
 
 @dataclass
 class RieszData:
     """Per-cluster projections P_n, nilpotents D_n and numerical ranks d_n.
 
-    Built by :func:`compute_riesz_data`, from eigenvectors or the contour
-    quadrature per cluster; the consumers cannot tell which.  It also keeps
-    what :meth:`check` decides from: the eigenvalue ``condition`` numbers (0
-    for clusters of several eigenvalues), the ``identities`` report and the
-    relative ``defect`` ||D_n||_2 / max(1, |lambda_n|) of each cluster.
+    Built by :func:`compute_riesz_data`.  The j-th cluster of the ``simple``
+    mask is P_n = v u^T, D_n = r u^T, with v, u, r the columns j of V, U, R
+    (u.v = 1, r = A v - lambda_n v): its ``res_nilpotent_form`` is 0 by
+    construction, and u.v - 1, (u.v) r - (u.r) v and (u.v) r carry the check.
+    The others keep dense (P_n, D_n) in ``contour``, in order; ``transposed``
+    marks the data of A^T.  It also keeps what :meth:`check` decides from:
+    the eigenvalue ``condition`` numbers (0 for clusters of several
+    eigenvalues), the ``identities`` report and the relative ``defect``
+    ||D_n||_2 / max(1, |lambda_n|) of each cluster.
     """
 
     eigenvalues: np.ndarray
     radii: np.ndarray
-    projections: list[np.ndarray] = field(repr=False)
-    nilpotents: list[np.ndarray] = field(repr=False)
+    simple: np.ndarray
+    V: np.ndarray = field(repr=False)
+    U: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
+    contour: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
     multiplicities: np.ndarray
     condition: np.ndarray
     defect: np.ndarray
     identities: IdentityReport | None = field(default=None, repr=False)
+    transposed: bool = False
 
     @property
     def n_clusters(self) -> int:
-        return len(self.projections)
+        return len(self.eigenvalues)
+
+    # every P_n and every D_n as dense matrices, built on each access
+    projections = property(lambda self: self._dense(self.V, 0))
+    nilpotents = property(lambda self: self._dense(self.R, 1))
+
+    def _dense(self, left: np.ndarray, k: int) -> list[np.ndarray]:
+        rank_one = (np.outer(a, u) for a, u in zip(left.T, self.U.T))
+        contour = (pair[k] for pair in self.contour)
+        mats = [next(rank_one) if s else next(contour) for s in self.simple]
+        return [M.T for M in mats] if self.transposed else mats
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P_n x of every cluster n for a vector or block x: (n_clusters, *x.shape).
+
+        A simple cluster's v (u.x) costs O(N) per column.  Both orientations
+        multiply the v-entry into the u-entry, as P_n does, so a unit x
+        selects a column of P_n or of P_n^T bitwise.
+        """
+        flat = x.reshape(len(x), -1)
+        v, u = self.V.T[:, :, None], self.U.T[:, :, None]
+        out = np.empty((self.n_clusters, *flat.shape), dtype=complex)
+        out[self.simple] = (
+            (self.V.T @ flat)[:, None] * u if self.transposed else v * (self.U.T @ flat)[:, None]
+        )
+        for i, (P, _) in zip(np.flatnonzero(~self.simple), self.contour):
+            out[i] = (P.T if self.transposed else P) @ flat
+        return out.reshape(self.n_clusters, *x.shape)
 
     def transpose(self) -> "RieszData":
         """The Riesz data of A^T: P_n^T and D_n^T, refused exactly as the data of A."""
-        return replace(
-            self,
-            projections=[P.T for P in self.projections],
-            nilpotents=[D.T for D in self.nilpotents],
-        )
+        return replace(self, transposed=not self.transposed)
 
     def check(self) -> None:
         """Raise :class:`NumericsError` unless every simple cluster's condition
@@ -395,59 +425,44 @@ def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def compute_riesz_data(
-    A,
-    eigsys: Eigensystem,
-    nodes: int = DEFAULT_CONTOUR_NODES,
-) -> RieszData:
+def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODES) -> RieszData:
     """Projections and nilpotents for every cluster of an eigensystem.
 
     A cluster that is one eigenvalue with condition number at most
-    ``KAPPA_MAX`` gets the rank-one P = v w^H / (w^H v), D = (A - lambda) P
-    and multiplicity 1 from the stored eigenvectors.  Every other cluster
-    gets :func:`riesz_projection` with ``nodes`` quadrature nodes, and its
-    multiplicity is the numerical rank of P_n (robust under clustering
-    decisions), not the eigensolver count.  ``nodes`` is checked up front,
-    also when no cluster needs the contour.
-    It also records the single-eigenvalue clusters' condition numbers (inf
-    for an eigensystem without eigenvectors), the :func:`verify_identities`
-    report and the defects; a rank-one D = r u^H has ||D||_2 = ||r|| ||u||.
+    ``KAPPA_MAX`` gets multiplicity 1 and the factors of P = v u^T and
+    D = r u^T from the stored eigenvectors, all such clusters at once.
+    Every other cluster gets :func:`riesz_projection` with ``nodes`` nodes,
+    and its multiplicity is the numerical rank of P_n (robust under
+    clustering decisions), not the eigensolver count.  ``nodes`` is checked
+    up front, also when no cluster needs the contour.  It also records the
+    single-eigenvalue clusters' condition numbers (inf for an eigensystem
+    without eigenvectors), the :func:`verify_identities` report and the
+    defects; a rank-one D = r u^T has ||D||_2 = ||r|| ||u||.
     """
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A)
-    simple = eigsys.uses_eigenvectors()
+    simple = eigsys.condition <= KAPPA_MAX
+    lam = eigsys.eigenvalues
+    k = [eigsys.members[i][0] for i in np.flatnonzero(simple)]
+    V = eigsys.right_vectors[:, k].astype(complex) if k else np.empty((len(mat), 0), complex)
+    U = eigsys.left_vectors[:, k].conj() if k else V
+    U = U / np.sum(U * V, axis=0)
+    R = mat @ V - V * lam[simple]
 
     def contour(i, P, D):
         return P, D, max(_numerical_rank(P), 1), np.linalg.norm(D, 2)
 
-    built = iter(_map_contour(A, eigsys, np.flatnonzero(~simple), nodes, contour))
-    Ps, Ds, ranks, defects = [], [], [], []
-    for i, lam in enumerate(eigsys.eigenvalues):
-        if simple[i]:
-            k = eigsys.members[i][0]
-            v = eigsys.right_vectors[:, k].astype(complex)
-            wh = eigsys.left_vectors[:, k].conj()
-            u = wh / (wh @ v)
-            r = mat @ v - lam * v
-            P = np.outer(v, u)
-            D = np.outer(r, u)
-            rank = 1
-            defect = np.linalg.norm(r) * np.linalg.norm(u)
-        else:
-            P, D, rank, defect = next(built)
-        Ps.append(P)
-        Ds.append(D)
-        ranks.append(rank)
-        defects.append(defect / max(1.0, abs(lam)))
+    built = _map_contour(A, eigsys, np.flatnonzero(~simple), nodes, contour)
+    ranks, defect = np.ones(len(lam), dtype=int), np.empty(len(lam))
+    defect[simple] = np.linalg.norm(R, axis=0) * np.linalg.norm(U, axis=0)
+    for i, (_, _, rank, norm) in zip(np.flatnonzero(~simple), built):
+        ranks[i], defect[i] = rank, norm
     rd = RieszData(
-        eigenvalues=eigsys.eigenvalues.copy(),
-        radii=eigsys.radii.copy(),
-        projections=Ps,
-        nilpotents=Ds,
-        multiplicities=np.array(ranks),
+        eigenvalues=lam.copy(), radii=eigsys.radii.copy(), simple=simple, V=V, U=U, R=R,
+        contour=[(P, D) for P, D, _, _ in built], multiplicities=ranks,
         condition=np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0),
-        defect=np.array(defects),
+        defect=defect / np.maximum(1.0, np.abs(lam)),
     )
     rd.identities = verify_identities(A, rd)
     return rd
@@ -501,21 +516,26 @@ def _maxabs(M: np.ndarray) -> float:
 
 
 def verify_identities(A, rd: RieszData, tol: float = IDENTITY_TOL) -> IdentityReport:
-    """Residuals of the four projection identities plus completeness."""
-    mat = as_matrix(A).astype(complex)
-    eye = np.eye(mat.shape[0])
-    rows = []
-    for P, D, lam, d in zip(rd.projections, rd.nilpotents, rd.eigenvalues, rd.multiplicities):
-        DP = D @ P  # also D^d P for d = 1, bitwise as matrix_power(D, 1) @ P
-        rows.append(
-            (
-                _maxabs(P @ P - P),
-                _maxabs(D - (mat - lam * eye) @ P),
-                _maxabs(DP - P @ D),
-                _maxabs(DP if d == 1 else np.linalg.matrix_power(D, int(d)) @ P),
-            )
+    """Residuals of the four projection identities plus completeness.
+
+    A simple cluster's residuals are max norms of rank-one matrices, O(N)
+    each: |u.v - 1| max|v| max|u| (idempotence), 0 for the nilpotent form (r
+    is (A - lambda) v by definition), max|(u.v) r - (u.r) v| max|u| and
+    |u.v| max|r| max|u|.  Contour clusters are checked with dense products.
+    """
+    uv, u_max = np.sum(rd.U * rd.V, axis=0), np.abs(rd.U).max(axis=0)
+    rows = np.zeros((rd.n_clusters, 4))  # a simple cluster's nilpotent form stays 0
+    rows[rd.simple, 0] = np.abs(uv - 1.0) * np.abs(rd.V).max(axis=0) * u_max
+    rows[rd.simple, 2] = np.abs(uv * rd.R - np.sum(rd.U * rd.R, axis=0) * rd.V).max(axis=0) * u_max
+    rows[rd.simple, 3] = np.abs(uv) * np.abs(rd.R).max(axis=0) * u_max
+    for i, (P, D) in zip(np.flatnonzero(~rd.simple), rd.contour):
+        rows[i] = (
+            _maxabs(P @ P - P),
+            _maxabs(D - (as_matrix(A) - rd.eigenvalues[i] * np.eye(len(P))) @ P),
+            _maxabs(D @ P - P @ D),
+            _maxabs(np.linalg.matrix_power(D, int(rd.multiplicities[i])) @ P),
         )
-    residuals = dict(zip(IdentityReport.NAMES, np.array(rows).T))
+    residuals = dict(zip(IdentityReport.NAMES, rows.T))
     return IdentityReport(
         rd.eigenvalues.copy(), **residuals, completeness=completeness_defect(rd), tol=tol
     )
@@ -563,12 +583,11 @@ def lemma3_check(
 
 
 def completeness_defect(rd: RieszData) -> float:
-    """Spectral norm of sum_n P_n - I (exact resolution of identity is 0)."""
-    n = rd.projections[0].shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for P in rd.projections:
+    """Spectral norm of V U^T + sum of the contour P_n - I (exact: 0)."""
+    acc = rd.V @ rd.U.T
+    for P, _ in rd.contour:
         acc += P
-    return float(np.linalg.norm(acc - np.eye(n), 2))
+    return float(np.linalg.norm(acc - np.eye(len(acc)), 2))
 
 
 def contour_difference(
@@ -582,9 +601,11 @@ def contour_difference(
     quadrature runs exactly once per cluster over both calls.
     """
     diff = np.zeros(eigsys.n_clusters)
-    clusters = np.flatnonzero(eigsys.uses_eigenvectors())
+    clusters = np.flatnonzero(rd.simple)
+    j = np.cumsum(rd.simple) - 1  # the column of V and U; P is built in the worker
     diff[clusters] = _map_contour(
-        A, eigsys, clusters, nodes, lambda i, P, D: _maxabs(P - rd.projections[i])
+        A, eigsys, clusters, nodes,
+        lambda i, P, D: _maxabs(P - np.outer(rd.V[:, j[i]], rd.U[:, j[i]])),
     )
     return diff
 

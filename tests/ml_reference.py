@@ -41,7 +41,15 @@ NEAR_CUT = [
 # the largest argument of the configs/demo.ini observation map
 DEMO_LARGEST = [(1.5, beta, -4345.888965098841) for beta in (1.0, 2.0)]
 
-POINTS = LARGE_NEGATIVE + NEAR_ENDS + NEAR_CUT + DEMO_LARGEST
+# alpha near 1, beta below 1 and |z| = 10, where the power series lost
+# 8e-11, 3e-11 and 1.5e-12 to cancellation before the contour took over
+SERIES_EDGE = [
+    (1.0, 0.53, cmath.rect(10.0, 1.9)),
+    (1.05, 0.5, cmath.rect(10.0, 2.5)),
+    (1.1, 0.5, cmath.rect(10.0, 2.5)),
+]
+
+POINTS = LARGE_NEGATIVE + NEAR_ENDS + NEAR_CUT + DEMO_LARGEST + SERIES_EDGE
 
 
 def ml_reference(alpha, beta, z):

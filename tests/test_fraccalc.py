@@ -24,6 +24,7 @@ from ml_reference import (
     NEAR_CUT,
     NEAR_ENDS,
     POINTS,
+    SERIES_EDGE,
     load_table,
     ml_reference,
 )
@@ -244,6 +245,12 @@ class TestMittagLeffler:
         # largest argument of the demo observation map
         assert abs(mittag_leffler(alpha, beta, z) - load_table()[alpha, beta, z]) < 1e-10
 
+    @pytest.mark.parametrize("alpha, beta, z", SERIES_EDGE)
+    def test_contour_inside_the_series_radius(self, alpha, beta, z):
+        # for alpha below 1.5 the contour serves |z| > 2, where the series
+        # erred by up to 8e-11
+        assert abs(mittag_leffler(alpha, beta, z) - load_table()[alpha, beta, z]) < 1e-13
+
     def test_reference_table_matches_live_values(self):
         # the entries cheap enough to recompute; the rest cost minutes
         table = load_table()
@@ -358,10 +365,12 @@ class TestMittagLefflerKernel:
     @settings(max_examples=60, deadline=None)
     @given(orders, st.floats(0.5, 2.5), angles)
     def test_continuity_across_series_radius(self, alpha, beta, phi):
-        # the series serves |z| <= 10, the contour beyond.  The jump is the
-        # series' own rounding error at |z| = 10, which grows as alpha and
-        # beta fall; against mpmath it reaches 1.0e-10 at alpha = 1,
-        # beta = 0.53, arg z = 1.9, the documented ~1e-10 accuracy
+        # the series serves |z| <= 10, the contour beyond; for alpha below
+        # 1.5 the contour already serves |z| > 2 wherever it accepts the
+        # argument.  The jump is the series' own rounding error at |z| = 10
+        # where it still serves: against mpmath up to 8e-14 for alpha >= 1.5,
+        # and for alpha = 1 near the negative axis (beta 1 or 2, closed forms
+        # outside) it reached 1.2e-11
         inner, outer = cmath.rect(10.0 - 1e-12, phi), cmath.rect(10.0 + 1e-12, phi)
         assume(_supported(alpha, beta, outer))
         e_in, e_out = mittag_leffler_kernel(alpha, beta, np.array([inner, outer]))

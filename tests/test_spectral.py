@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracwave import spectral
-from fracwave.elliptic import CoefficientField, Mesh, assemble
+from fracwave.elliptic import CoefficientField, Mesh, as_matrix, assemble
 from fracwave.errors import ContourError, DefectiveClusterError, NumericsError
+from fracwave.fraccalc import mittag_leffler_kernel
+from fracwave.solver import SourcePair, solve_spectral_oracle
 from fracwave.spectral import (
+    CONDITION_MAX,
     DEFAULT_CONTOUR_NODES,
+    IDENTITY_TOL,
     KAPPA_MAX,
     IdentityReport,
     completeness_defect,
@@ -382,7 +387,7 @@ class TestTwoConstructions:
 
     def test_nodes_checked_without_contour_clusters(self):
         es = eigendecompose(np.diag([1.0, 2.0]), cluster_tol=1e-8)
-        assert es.uses_eigenvectors().all()
+        assert (es.condition <= KAPPA_MAX).all()
         with pytest.raises(ValueError, match="at least 1 node"):
             compute_riesz_data(np.diag([1.0, 2.0]), es, nodes=0)
 
@@ -413,7 +418,7 @@ class TestContourThreads:
         mesh = Mesh((0.0,) * dim, (1.0,) * dim, grid)
         op = assemble(mesh, CoefficientField.from_callables(mesh, b1=b1))
         es = eigendecompose(op)
-        assert not es.uses_eigenvectors().all()
+        assert not (es.condition <= KAPPA_MAX).all()
         runs = []
         for cores in (1, 4):
             monkeypatch.setattr(spectral, "_usable_cores", lambda cores=cores: cores)
@@ -496,8 +501,11 @@ class TestIdentities:
     def test_dropped_cluster_defect(self):
         A = np.diag([1.0, 2.0, 3.0])
         rd = compute_riesz_data(A, eigendecompose(A, cluster_tol=1e-8))
-        rd.projections = rd.projections[:-1]
-        rd.nilpotents = rd.nilpotents[:-1]
+        assert rd.simple.all()
+        rd = dataclasses.replace(
+            rd, simple=rd.simple[:-1], V=rd.V[:, :-1], U=rd.U[:, :-1], R=rd.R[:, :-1]
+        )
+        assert len(rd.projections) == 2
         assert completeness_defect(rd) >= 1.0  # spectral norm of a lost projector
 
     def test_single_cluster_identity(self):
@@ -584,12 +592,136 @@ class TestReliabilityRule:
         with pytest.raises(NumericsError, match="condition number inf"):
             compute_riesz_data(A, bare).check()
 
-    def test_transpose_is_refused_as_the_original(self, advection_operator):
-        rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
+    def test_transpose_is_refused_as_the_original(self):
+        # without advection the 4 x 4 square has both kinds of cluster
+        mesh = Mesh((0.0, 0.0), (1.0, 1.0), (4, 4))
+        op = assemble(mesh, CoefficientField.from_callables(mesh))
+        rd = compute_riesz_data(op, eigendecompose(op))
+        assert 0 < rd.simple.sum() < rd.n_clusters
         rdt = rd.transpose()
         assert rdt.condition is rd.condition and rdt.defect is rd.defect
         assert rdt.identities is rd.identities
-        np.testing.assert_array_equal(rdt.projections[0], rd.projections[0].T)
+        for name in ("projections", "nilpotents"):
+            for X, Xt in zip(getattr(rd, name), getattr(rdt, name), strict=True):
+                np.testing.assert_array_equal(Xt, X.T)
+        np.testing.assert_array_equal(rdt.transpose().projections[0], rd.projections[0])
+        # a unit source selects a column of each P_n^T, bitwise
+        cols = rdt.apply(np.eye(len(op.matrix)))
+        for i, P in enumerate(rd.projections):
+            np.testing.assert_array_equal(cols[i], P.T)
+
+
+def dense_riesz(A, es):
+    """Every P_n and D_n as compute_riesz_data built them as dense matrices:
+    np.outer of the eigenvector factors, or the contour."""
+    mat = as_matrix(A)
+    Ps, Ds = [], []
+    for i, lam in enumerate(es.eigenvalues):
+        if es.condition[i] <= KAPPA_MAX:
+            k = es.members[i][0]
+            v = es.right_vectors[:, k].astype(complex)
+            wh = es.left_vectors[:, k].conj()
+            u = wh / (wh @ v)
+            P, D = np.outer(v, u), np.outer(mat @ v - lam * v, u)
+        else:
+            P, D = riesz_projection(
+                A, lam, es.radii[i], DEFAULT_CONTOUR_NODES, eigenvalues=es.raw_eigenvalues
+            )
+        Ps.append(P)
+        Ds.append(D)
+    return Ps, Ds
+
+
+def dense_identities(A, Ps, Ds, rd):
+    """verify_identities as it was: matrix products of the dense P_n and D_n."""
+    mat = as_matrix(A).astype(complex)
+    eye = np.eye(mat.shape[0])
+    rows = []
+    for P, D, lam, d in zip(Ps, Ds, rd.eigenvalues, rd.multiplicities):
+        DP = D @ P
+        rows.append((
+            np.abs(P @ P - P).max(),
+            np.abs(D - (mat - lam * eye) @ P).max(),
+            np.abs(DP - P @ D).max(),
+            np.abs(np.linalg.matrix_power(D, int(d)) @ P).max(),
+        ))
+    completeness = np.linalg.norm(sum(Ps) - eye, 2)
+    residuals = dict(zip(IdentityReport.NAMES, np.array(rows).T))
+    return IdentityReport(rd.eigenvalues, **residuals, completeness=completeness, tol=IDENTITY_TOL)
+
+
+@st.composite
+def advection_operators(draw):
+    """1D or 2D advection-diffusion with N in [4, 16] and b1 in [0, 40], some
+    of them with a 2 x 2 Jordan block at 1 appended below the spectrum."""
+    b1 = draw(st.floats(0.0, 40.0))
+    if draw(st.booleans()):
+        mesh = Mesh((0.0,), (1.0,), (draw(st.integers(4, 16)),))
+        coeffs = CoefficientField.from_callables(mesh, b1=b1)
+    else:
+        nx = draw(st.integers(2, 4))
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (nx, draw(st.integers(2, 16 // nx))))
+        coeffs = CoefficientField.from_callables(mesh, b1=b1, b2=draw(st.floats(-5.0, 5.0)))
+    mat = assemble(mesh, coeffs).matrix
+    if draw(st.booleans()):
+        mat = scipy.linalg.block_diag(mat[:-2, :-2], jordan(1.0, 2))
+    return mat
+
+
+class TestFactoredStorage:
+    """Rank-one factors in place of dense matrices, against the dense construction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(A=advection_operators(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_construction(self, A, seed):
+        try:
+            es = eigendecompose(A)
+        except NumericsError:  # a cluster spread over its radius
+            return
+        rd = compute_riesz_data(A, es)
+        Ps, Ds = dense_riesz(A, es)
+        for i, (P, D, lam) in enumerate(zip(rd.projections, rd.nilpotents, rd.eigenvalues)):
+            assert np.abs(P - Ps[i]).max() <= 1e-13
+            assert np.abs(D - Ds[i]).max() <= 1e-13 * max(1.0, abs(lam))
+        dense = dense_identities(A, Ps, Ds, rd)
+        assert rd.identities.passed == dense.passed
+        try:
+            rd.check()
+            accepted = True
+        except NumericsError:
+            accepted = False
+        assert accepted == (bool(np.all(rd.condition <= CONDITION_MAX)) and dense.passed)
+        try:
+            rd.check_diagonalizable()
+        except NumericsError:
+            return
+        rng = np.random.default_rng(seed)
+        source = SourcePair(rng.uniform(-1, 1, len(A)), rng.uniform(-1, 1, len(A)))
+        times = np.array([0.1, 0.5, 1.0])
+        states = solve_spectral_oracle(rd, source, 1.5, times).states
+        z = -np.outer(times**1.5, rd.eigenvalues)
+        proj = np.asarray(Ps)
+        want = np.tensordot(mittag_leffler_kernel(1.5, 1.0, z), proj @ source.a, axes=1)
+        te2 = times[:, None] * mittag_leffler_kernel(1.5, 2.0, z)
+        want = (want + np.tensordot(te2, proj @ source.b, axes=1)).real
+        assert np.abs(states - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_memory_stays_linear_per_cluster(self):
+        # dense storage would hold 100 x 2 matrices of 160 kB, about 32 MB
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 10))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+        es = eigendecompose(op)
+        assert (es.condition <= KAPPA_MAX).all() and es.n_clusters == 100
+        compute_riesz_data(op, es)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compute_riesz_data(op, es)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestLemma3:
