@@ -208,6 +208,10 @@ _ML_NODES = 42
 # has at most two poles, so one of the three always qualifies.
 _ML_PARABOLAS = (1.5, 1.0, 2.25)
 _ML_POLE_CLEARANCE = 0.1
+# arguments per block of the node sum (85 x 128 complex terms, 174 kB):
+# against a loop over the nodes it took 1/5 of the time for 30 arguments,
+# 1/2 for 200 and the same for 951
+_ML_COLUMNS = 128
 
 
 def _ml_series_radius(alpha: float) -> float:
@@ -271,9 +275,17 @@ def _ml_parabola(
     w = 1.0 + 1j * _ML_STEP * np.arange(-_ML_NODES, _ML_NODES + 1)
     s = mu * w * w
     weight = (_ML_STEP / (2j * math.pi)) * np.exp(s) * s ** (alpha - beta) * (2j * mu * w)
-    total = np.zeros_like(z)
-    for p, c in zip(s**alpha, weight):
-        total += c / (p - z)
+    ps, weight = (s**alpha)[:, None], weight[:, None]
+    total = np.empty_like(z)
+    for lo in range(0, z.size, _ML_COLUMNS):
+        cols = slice(lo, lo + _ML_COLUMNS)
+        terms = ps - z[cols]
+        np.divide(weight, terms, out=terms)
+        # the rows added in node order; a lone column would be summed pairwise
+        if terms.shape[1] > 1:
+            total[cols] = np.add.reduce(terms, axis=0)
+        else:
+            total[cols] = terms.cumsum(axis=0)[-1]
     for row, live in zip(poles, inside):
         if not live.any():
             continue
@@ -351,15 +363,18 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
     fixed 85-node trapezoid rule on a parabolic contour, with the rule's exact
     pole corrections, so poles near the contour cost no accuracy.  Absolute
     accuracy ~1e-10 for alpha in [1, 2], |z| <= 50, and well beyond for
-    arguments away from the regime boundaries.  Alpha = 1 near the negative
-    axis uses the closed forms e^z and (e^z - 1)/z.  Unsupported regimes (for
-    |z| > 10: alpha > 2 or beta >= 1 + alpha outside those closed forms, a
-    pole within 1e-6 rad of the branch cut, alpha = 1 near the negative axis
-    with beta other than 1 or 2) raise :class:`MittagLefflerError` if any
-    element is in them, never NaN.
+    arguments away from the regime boundaries.  Alpha = 1 within 0.1 rad of
+    the negative axis uses the closed forms e^z and (e^z - 1)/z for beta 1
+    and 2 from |z| = 2 on; other beta there still sum the series up to
+    |z| = 10, which cancels (6.6e-11 at beta = 0.5, |z| = 10).  Unsupported
+    regimes (for |z| > 10: alpha > 2 or beta >= 1 + alpha outside those
+    closed forms, a pole within 1e-6 rad of the branch cut, alpha = 1 near
+    the negative axis with beta other than 1 or 2) raise
+    :class:`MittagLefflerError` if any element is in them, never NaN.
 
     Every element is computed on its own, so a result does not depend on the
-    other elements, and the temporaries are a few arrays the size of ``z``.
+    other elements, and the temporaries are a few arrays the size of ``z``
+    and blocks of at most 85 x 128 node terms.
 
     Parameters
     ----------
@@ -388,6 +403,11 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
         guard = 0.1 if alpha == 1.0 else _ML_POLE_GUARD
         clear = np.abs(np.abs(phi) - math.pi).min(axis=0) >= guard
         series &= ~(clear & (np.abs(flat) > _ML_CONTOUR_FROM))
+    if alpha == 1.0 and beta in (1.0, 2.0):
+        # the closed forms of _ml_large are exact near the negative axis,
+        # where the series cancels
+        near = np.abs(np.abs(np.angle(flat)) - math.pi) < 0.1
+        series &= ~(near & (np.abs(flat) > _ML_CONTOUR_FROM))
     large = ~(zero | series)
     out[zero] = _rgamma(beta)
     if series.any():

@@ -49,7 +49,16 @@ SERIES_EDGE = [
     (1.1, 0.5, cmath.rect(10.0, 2.5)),
 ]
 
-POINTS = LARGE_NEGATIVE + NEAR_ENDS + NEAR_CUT + DEMO_LARGEST + SERIES_EDGE
+# alpha = 1 at |z| = 10 on and 0.05 rad either side of the negative axis,
+# where the power series lost up to 1e-11 (beta = 1) and 9e-13 (beta = 2) to
+# cancellation before the closed forms took over
+NEGATIVE_AXIS = [
+    (1.0, beta, z)
+    for beta in (1.0, 2.0)
+    for z in (-10.0, cmath.rect(10.0, math.pi - 0.05), cmath.rect(10.0, 0.05 - math.pi))
+]
+
+POINTS = LARGE_NEGATIVE + NEAR_ENDS + NEAR_CUT + DEMO_LARGEST + SERIES_EDGE + NEGATIVE_AXIS
 
 
 def ml_reference(alpha, beta, z):

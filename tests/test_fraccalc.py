@@ -23,6 +23,7 @@ from ml_reference import (
     LARGE_NEGATIVE,
     NEAR_CUT,
     NEAR_ENDS,
+    NEGATIVE_AXIS,
     POINTS,
     SERIES_EDGE,
     load_table,
@@ -251,6 +252,12 @@ class TestMittagLeffler:
         # erred by up to 8e-11
         assert abs(mittag_leffler(alpha, beta, z) - load_table()[alpha, beta, z]) < 1e-13
 
+    @pytest.mark.parametrize("alpha, beta, z", NEGATIVE_AXIS)
+    def test_closed_forms_near_the_negative_axis(self, alpha, beta, z):
+        # for alpha = 1 and beta 1 or 2 the closed forms serve |z| > 2 within
+        # 0.1 rad of the negative axis, where the series erred by up to 1e-11
+        assert abs(mittag_leffler(alpha, beta, z) - load_table()[alpha, beta, z]) < 1e-13
+
     def test_reference_table_matches_live_values(self):
         # the entries cheap enough to recompute; the rest cost minutes
         table = load_table()
@@ -368,9 +375,7 @@ class TestMittagLefflerKernel:
         # the series serves |z| <= 10, the contour beyond; for alpha below
         # 1.5 the contour already serves |z| > 2 wherever it accepts the
         # argument.  The jump is the series' own rounding error at |z| = 10
-        # where it still serves: against mpmath up to 8e-14 for alpha >= 1.5,
-        # and for alpha = 1 near the negative axis (beta 1 or 2, closed forms
-        # outside) it reached 1.2e-11
+        # where it still serves: against mpmath up to 8e-14 for alpha >= 1.5
         inner, outer = cmath.rect(10.0 - 1e-12, phi), cmath.rect(10.0 + 1e-12, phi)
         assume(_supported(alpha, beta, outer))
         e_in, e_out = mittag_leffler_kernel(alpha, beta, np.array([inner, outer]))
@@ -393,6 +398,17 @@ class TestMittagLefflerKernel:
         mittag_leffler_kernel(2.5, 1.0, small)
         with pytest.raises(MittagLefflerError, match="alpha <= 2"):
             mittag_leffler_kernel(2.5, 1.0, np.insert(small, min(at, z.size), -bad))
+
+    @pytest.mark.parametrize("size", [2, 128, 129, 300])
+    def test_node_sum_blocks_add_in_node_order(self, size, monkeypatch):
+        # the contour's node terms are summed for blocks of arguments at once;
+        # with one argument per block they are added one by one in node
+        # order, as a loop over the nodes adds them
+        rng = np.random.default_rng(size)
+        z = -np.geomspace(10.5, 4000.0, size) * np.exp(1j * rng.uniform(-0.5, 0.5, size))
+        values = mittag_leffler_kernel(1.5, 1.0, z)
+        monkeypatch.setattr(fraccalc, "_ML_COLUMNS", 1)
+        np.testing.assert_array_equal(mittag_leffler_kernel(1.5, 1.0, z), values)
 
     def test_shape_and_scalar_wrapper(self):
         z = -np.geomspace(1e-3, 4e3, 24).reshape(2, 3, 4)
