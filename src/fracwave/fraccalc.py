@@ -208,10 +208,6 @@ _ML_NODES = 42
 # has at most two poles, so one of the three always qualifies.
 _ML_PARABOLAS = (1.5, 1.0, 2.25)
 _ML_POLE_CLEARANCE = 0.1
-# arguments per block of the node sum (85 x 128 complex terms, 174 kB):
-# against a loop over the nodes it took 1/5 of the time for 30 arguments,
-# 1/2 for 200 and the same for 951
-_ML_COLUMNS = 128
 
 
 def _ml_series_radius(alpha: float) -> float:
@@ -275,17 +271,9 @@ def _ml_parabola(
     w = 1.0 + 1j * _ML_STEP * np.arange(-_ML_NODES, _ML_NODES + 1)
     s = mu * w * w
     weight = (_ML_STEP / (2j * math.pi)) * np.exp(s) * s ** (alpha - beta) * (2j * mu * w)
-    ps, weight = (s**alpha)[:, None], weight[:, None]
-    total = np.empty_like(z)
-    for lo in range(0, z.size, _ML_COLUMNS):
-        cols = slice(lo, lo + _ML_COLUMNS)
-        terms = ps - z[cols]
-        np.divide(weight, terms, out=terms)
-        # the rows added in node order; a lone column would be summed pairwise
-        if terms.shape[1] > 1:
-            total[cols] = np.add.reduce(terms, axis=0)
-        else:
-            total[cols] = terms.cumsum(axis=0)[-1]
+    total = np.zeros_like(z)
+    for p, c in zip(s**alpha, weight):
+        total += c / (p - z)
     for row, live in zip(poles, inside):
         if not live.any():
             continue
@@ -373,8 +361,7 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
     :class:`MittagLefflerError` if any element is in them, never NaN.
 
     Every element is computed on its own, so a result does not depend on the
-    other elements, and the temporaries are a few arrays the size of ``z``
-    and blocks of at most 85 x 128 node terms.
+    other elements, and the temporaries are a few arrays the size of ``z``.
 
     Parameters
     ----------

@@ -12,7 +12,7 @@ each other; their agreement is the package's core correctness instrument.
   u_hat(p) = (p^alpha + A)^(-1) (p^(alpha-1) a + p^(alpha-2) b)
   by trapezoid quadrature on a cotangent (Talbot) contour; one complex
   linear solve per contour node per output time, covering every column of a
-  source block, with the nodes solved in stacks.
+  source block.
 * ``solve_spectral_oracle``: Mittag-Leffler mode sum over the Riesz spectral
   decomposition; refuses data that fail the reliability rule of
   :meth:`fracwave.spectral.RieszData.check` and defective clusters.
@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .elliptic import as_matrix
 from .errors import ContourError, NumericsError
 from .fraccalc import TimeGrid, mittag_leffler_kernel, rl_weights
-from .spectral import _STACK, RieszData
+from .spectral import RieszData
 
 __all__ = [
     "SourcePair",
@@ -76,9 +76,14 @@ _PI_STABILITY_TABLE = (
 _CHUNK = 64
 # steps per product within a chunk (see _block_gain), a divisor of _CHUNK.
 # Against an 80-bit march (400 draws at alpha 1.85-1.95, kappa0 * ||A|| = 1.8,
-# K <= 300) the median error was 1.02 / 1.21 / 1.71 times that of one step
-# per product for 2 / 4 / 8 steps
+# K <= 300) the median error was 1.02 / 1.21 / 1.71 times that of a march
+# forming u_k = S r_k and A u_k at every step, for 2 / 4 / 8 steps
 _BLOCK = 4
+# most rows of the gain: a block of B steps costs B N^2 m flops per step, so
+# the march halves B until B * N <= _GAIN_ROWS (at most 295 kB of gain).
+# With one BLAS thread (K = 1,024, m = 1 and 16) 4 steps were fastest up to
+# N = 48 and 2 at N = 64-96, and at N = 256 4 steps took 2-4x as long as one
+_GAIN_ROWS = 192
 
 
 def _pi_stability_limit(alpha: float) -> float:
@@ -95,8 +100,8 @@ class SourcePair:
     Both live on interior nodes, so a vanishes on the boundary by construction.
     Each is a vector (N,) or a block (N, m) whose m columns are m sources.
     Every route solves a block at once: ``solve_timestep`` advances all
-    columns with one product with the inverse step matrix per step, and
-    names the lowest column whose trajectory turns non-finite.
+    columns with one product per block of steps, and names the lowest
+    column whose trajectory turns non-finite.
     """
 
     a: np.ndarray
@@ -215,13 +220,15 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
     each chunk of ``_CHUNK`` steps the history older than the chunk enters
     all its steps in one product with the Toeplitz block of weights w[k - j].
     Within the chunk, one product with the matrix of :func:`_block_gain`
-    advances ``_BLOCK`` steps: it maps their rho_k, which hold the history
-    before the block, to their history rows.  A Python iteration per step
-    cost more than the O(K^2) history product at K = 1,024.  The state
-    u_k = S r_k is formed only at a sampled step, and the sampled states are
-    kept, shaped (times, *source.a.shape).  A non-finite history row raises
-    :class:`NumericsError` naming the lowest such column and its first bad
-    step.
+    advances B steps: it maps their rho_k, which hold the history before the
+    block, to their history rows.  B is ``_BLOCK`` = 4 for N <= 48 (a Python
+    iteration per step cost more than the O(K^2) history product at
+    K = 1,024) and halves until B N <= ``_GAIN_ROWS``, since the gain costs
+    B N^2 m flops per step: from N = 97 on each step is one product with
+    G = A S.  The state u_k = S r_k is formed only at a sampled step, and
+    the sampled states are kept, shaped (times, *source.a.shape).  A
+    non-finite history row raises :class:`NumericsError` naming the lowest
+    such column and its first bad step.
 
     The scheme is implicit but only conditionally stable: the most recent
     history weight 2^(alpha+1) - 2 exceeds 1 for orders above 1, and the
@@ -260,10 +267,13 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
         )
 
     step = np.linalg.inv(np.eye(n) + kappa0 * mat)
-    gain = _block_gain(mat @ step, w, kappa0, min(_BLOCK, K))
+    block = _BLOCK
+    while block > 1 and block * n > _GAIN_ROWS:
+        block //= 2
+    gain = _block_gain(mat @ step, w, kappa0, min(block, K))
     # the weights w[d + 1 + l] of a block's step d and the chunk's row l
     # before the block, newest first (indices past K are never used)
-    recent = w[np.minimum(np.arange(1, _BLOCK + 1)[:, None] + np.arange(min(_CHUNK, K)), K)]
+    recent = w[np.minimum(np.arange(1, block + 1)[:, None] + np.arange(min(_CHUNK, K)), K)]
     t = grid.nodes
     a = source.a.reshape(n, -1)
     b = source.b.reshape(n, -1)
@@ -282,8 +292,8 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
             toeplitz = sliding_window_view(w, k0 - 1)[1 : k1 - k0 + 1]
             older = np.hstack([toeplitz, c0[k0:k1, None]]) @ hist[K - k0 + 1 :]
             rho = a + t[k0:k1, None, None] * b  # each step's rho_k, see _block_gain
-            for kb in range(k0, k1, _BLOCK):
-                i, nb = kb - k0, min(_BLOCK, k1 - kb)
+            for kb in range(k0, k1, block):
+                i, nb = kb - k0, min(block, k1 - kb)
                 h = older[i : i + nb]
                 if i:  # the chunk's rows before the block, newest first
                     h = h + recent[:nb, :i] @ hist[K - kb + 1 : K - k0 + 1]
@@ -297,14 +307,14 @@ def solve_timestep(A, source: SourcePair, alpha: float, times, grid: TimeGrid) -
                 # the zero blocks above the diagonal of the gain turn an
                 # overflow into NaN at the block's earlier steps too
                 for k in range(k0, k1):
-                    kb = k - (k - k0) % _BLOCK
+                    kb = k - (k - k0) % block
                     part = rho[kb - k0 : k - k0 + 1].reshape(-1, m)
                     y = gain[(k - kb) * n : (k - kb + 1) * n, : part.shape[0]] @ part
                     finite[k] = np.isfinite(y).all(axis=0)
             for s in np.flatnonzero((idx >= k0) & (idx < k1)):
                 # u_k = S r_k, with r_k = rho_k less the block's earlier steps
                 k = idx[s]
-                kb = k - (k - k0) % _BLOCK
+                kb = k - (k - k0) % block
                 inner = w[1 : k - kb + 1] @ hist[K - k + 1 : K - kb + 1]
                 states[s] = step @ (rho[k - k0] - kappa0 * inner.reshape(n, m))
     if not finite.all():
@@ -370,12 +380,8 @@ def solve_resolvent(
 
     For each time the contour is scaled as sigma = r/t, quadrature runs over
     the conjugate-symmetric node pairs, and each node costs one complex solve
-    with p^alpha I + A for all columns of the source.  The nodes are solved
-    in stacks of at most ``_STACK`` by one ``np.linalg.solve`` call each,
-    which runs the same LAPACK solve per node as one call per node; the
-    right-hand sides and the node sum are formed node by node, so the result
-    is the same to the bit.  The real part of the symmetric-node sum is
-    returned, shaped (times, *source.a.shape).
+    with p^alpha I + A for all columns of the source.  The real part of the
+    symmetric-node sum is returned, shaped (times, *source.a.shape).
     """
     _check_alpha(alpha)
     mat, rho = _operator(A, complex)
@@ -393,9 +399,7 @@ def solve_resolvent(
 
     a = source.a.astype(complex)
     b = source.b.astype(complex)
-    # p^alpha I + A for a stack of nodes, built in place in one buffer
-    shifted = np.empty((min(_STACK, half), n, n), dtype=complex)
-    diag = np.arange(n)
+    eye = np.eye(n, dtype=complex)
     states = np.empty((len(times), *a.shape))
     rs = []
     for it, t in enumerate(times):
@@ -406,27 +410,16 @@ def solve_resolvent(
         dp = sigma * (1.0 / np.tan(theta) - theta / np.sin(theta) ** 2 + 1j)
         pa = p**alpha
         acc = np.zeros(a.shape)
-        for start in range(0, half, _STACK):
-            nodes = range(start, min(start + _STACK, half))
-            stack = shifted[: len(nodes)]
-            np.copyto(stack, mat)
-            stack[:, diag, diag] += pa[start : nodes.stop, None]
-            rhs = np.stack([p[m] ** (alpha - 1.0) * a + p[m] ** (alpha - 2.0) * b for m in nodes])
+        for m in range(half):
+            rhs = p[m] ** (alpha - 1.0) * a + p[m] ** (alpha - 2.0) * b
             try:
-                x = np.linalg.solve(stack, rhs.reshape(len(nodes), n, -1))
+                x = np.linalg.solve(pa[m] * eye + mat, rhs)
             except np.linalg.LinAlgError as exc:
-                # name the stack's first singular node
-                for m, node in zip(nodes, stack):
-                    try:
-                        np.linalg.solve(node, rhs[0])
-                    except np.linalg.LinAlgError:
-                        break
                 raise ContourError(
                     f"singular resolvent at contour node p={p[m]:.6g} "
                     f"(p^alpha collides with the spectrum of -A)"
                 ) from exc
-            for m, xm in zip(nodes, x.reshape(len(nodes), *a.shape)):
-                acc = acc + (np.exp(p[m] * t) * dp[m] * xm).imag
+            acc = acc + (np.exp(p[m] * t) * dp[m] * x).imag
         states[it] = (2.0 / M) * acc
         if not np.all(np.isfinite(states[it])):
             raise NumericsError(

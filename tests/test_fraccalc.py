@@ -399,17 +399,6 @@ class TestMittagLefflerKernel:
         with pytest.raises(MittagLefflerError, match="alpha <= 2"):
             mittag_leffler_kernel(2.5, 1.0, np.insert(small, min(at, z.size), -bad))
 
-    @pytest.mark.parametrize("size", [2, 128, 129, 300])
-    def test_node_sum_blocks_add_in_node_order(self, size, monkeypatch):
-        # the contour's node terms are summed for blocks of arguments at once;
-        # with one argument per block they are added one by one in node
-        # order, as a loop over the nodes adds them
-        rng = np.random.default_rng(size)
-        z = -np.geomspace(10.5, 4000.0, size) * np.exp(1j * rng.uniform(-0.5, 0.5, size))
-        values = mittag_leffler_kernel(1.5, 1.0, z)
-        monkeypatch.setattr(fraccalc, "_ML_COLUMNS", 1)
-        np.testing.assert_array_equal(mittag_leffler_kernel(1.5, 1.0, z), values)
-
     def test_shape_and_scalar_wrapper(self):
         z = -np.geomspace(1e-3, 4e3, 24).reshape(2, 3, 4)
         values = mittag_leffler_kernel(1.5, 1.0, z)

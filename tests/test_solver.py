@@ -1,9 +1,5 @@
 import functools
 import math
-import os
-import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,9 +9,10 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fracwave import solver as solver_module
 from fracwave.config import load_config
 from fracwave.elliptic import CoefficientField, Mesh, as_matrix, assemble
-from fracwave.errors import ContourError, DefectiveClusterError, NumericsError
+from fracwave.errors import DefectiveClusterError, NumericsError
 from fracwave.fraccalc import TimeGrid, mittag_leffler, rl_weights
 from fracwave.observability import ObservationSetup, build_observation_map
 from fracwave.solver import (
@@ -23,6 +20,7 @@ from fracwave.solver import (
     _PI_STABILITY_TABLE,
     LaplaceContour,
     SourcePair,
+    _block_gain,
     _pi_stability_limit,
     _Transposed,
     growth_probe,
@@ -297,6 +295,28 @@ class TestTimestepMarch:
         rtol = MARCH_RTOL * max(1.0, K / 32) ** 2
         assert_within_rounding(got, ref, rtol=rtol)
 
+    @pytest.mark.parametrize("n, steps", [(48, 4), (49, 2), (96, 2), (97, 1)])
+    def test_larger_operators_take_fewer_steps_per_product(self, n, steps, monkeypatch):
+        # a gain of B steps costs B N^2 m flops per step, so B halves until
+        # B N <= _GAIN_ROWS; each B stays within rounding of the 80-bit march
+        taken = []
+
+        def spy(G, w, kappa0, B):
+            taken.append(B)
+            return _block_gain(G, w, kappa0, B)
+
+        monkeypatch.setattr(solver_module, "_block_gain", spy)
+        rng = np.random.default_rng(n)
+        grid, alpha = TimeGrid(1.0, 2 * _CHUNK + 3), 1.95
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        kappa0 = grid.dt**alpha / math.gamma(alpha + 2.0)
+        A *= 1.8 / (kappa0 * np.linalg.norm(A, np.inf))
+        source = SourcePair(rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+        got = solve_timestep(A, source, alpha, grid.nodes, grid).states
+        assert taken == [steps]
+        ref = march_reference(A, source, alpha, grid.nodes, grid)
+        assert_within_rounding(got, ref, rtol=MARCH_RTOL * (grid.K / 32) ** 2)
+
     def test_equals_reference_march_2d(self):
         # the 2N unit sources of an observation map on the non-square 4x3 grid
         mesh = Mesh((0.0, 0.0), (1.0, 0.7), (4, 3))
@@ -385,84 +405,7 @@ class TestTimestepMarch:
         assert np.max(np.abs(got - old)) <= 1e-12 * np.max(np.abs(old))
 
 
-def resolvent_by_node(A, source, alpha, times, contour):
-    """The Talbot route with one solve per contour node."""
-    mat = as_matrix(A).astype(complex)
-    rho = max(float(np.linalg.norm(mat, np.inf)), 1e-30)
-    M = contour.nodes
-    theta = (np.arange(M // 2) + 0.5) * (2.0 * np.pi / M)
-    a, b = source.a.astype(complex), source.b.astype(complex)
-    eye = np.eye(mat.shape[0], dtype=complex)
-    states = np.empty((len(times), *a.shape))
-    for it, t in enumerate(times):
-        sigma = contour.pick_r(alpha, t, rho) / t
-        p = sigma * theta * (1.0 / np.tan(theta) + 1j)
-        dp = sigma * (1.0 / np.tan(theta) - theta / np.sin(theta) ** 2 + 1j)
-        pa = p**alpha
-        acc = np.zeros(a.shape)
-        for m in range(M // 2):
-            rhs = p[m] ** (alpha - 1.0) * a + p[m] ** (alpha - 2.0) * b
-            x = np.linalg.solve(pa[m] * eye + mat, rhs)
-            acc = acc + (np.exp(p[m] * t) * dp[m] * x).imag
-        states[it] = (2.0 / M) * acc
-    return states
-
-
-def stacked_talbot_mismatches() -> list:
-    """The cases in which :func:`solve_resolvent` differs from
-    :func:`resolvent_by_node` in any bit: 1D and 2D advection-diffusion, one
-    source and the 2N unit sources, 3 / 10 / 24 kept contour nodes."""
-    bad = []
-    rng = np.random.default_rng(7)
-    for shape, drift in (((32,), {"b1": 1.0}), ((4, 3), {"b1": 1.0, "b2": 0.5})):
-        mesh = Mesh((0.0,) * len(shape), (1.0,) * len(shape), shape)
-        op = assemble(mesh, CoefficientField.from_callables(mesh, **drift))
-        n, eye = mesh.size, np.eye(mesh.size)
-        sources = {
-            "one source": SourcePair(rng.standard_normal(n), rng.standard_normal(n)),
-            "unit block": SourcePair(np.hstack([eye, 0 * eye]), np.hstack([0 * eye, eye])),
-        }
-        for name, source in sources.items():
-            for contour in (LaplaceContour(6), LaplaceContour(20), LaplaceContour(48)):
-                times = [0.1, 0.5, 1.0]
-                got = solve_resolvent(op, source, ALPHA, times, contour).states
-                if not np.array_equal(got, resolvent_by_node(op, source, ALPHA, times, contour)):
-                    bad.append(f"{len(shape)}D, {name}, {contour.nodes} nodes")
-    return bad
-
-
 class TestResolvent:
-    def test_stacked_nodes_equal_the_node_loop(self):
-        # bitwise, in a fresh interpreter with one BLAS thread
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        script = "import test_solver; print(test_solver.stacked_talbot_mismatches())"
-        run = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
-
-    def test_singular_node_is_named(self, monkeypatch):
-        # a node whose matrix p^alpha + 1 has a negative imaginary part counts
-        # as singular; at alpha = 1.3 the first is the third node of the
-        # third stack, and the error names it
-        alpha, contour, solve_ = 1.3, LaplaceContour(48), np.linalg.solve
-
-        def fake(mat, rhs):
-            if np.any(mat[..., 0, 0].imag < 0):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve_(mat, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", fake)
-        theta = (np.arange(24) + 0.5) * (2.0 * np.pi / 48)
-        p = contour.pick_r(alpha, 1.0, 1.0) * theta * (1.0 / np.tan(theta) + 1j)
-        first = int(np.argmax((p**alpha).imag < 0))
-        assert first == 18
-        with pytest.raises(ContourError, match=re.escape(f"contour node p={p[first]:.6g} ")):
-            solve_resolvent(np.array([[1.0]]), SourcePair([1.0], [0.0]), alpha, [1.0], contour)
-
     def test_scalar_a_source(self):
         u = solve_resolvent(np.array([[1.0]]), SourcePair([1.0], [0.0]), ALPHA, [1.0])
         assert abs(u.states[0, 0] - scalar_exact(1.0, ALPHA, 1.0, 0.0, 1.0)) < 1e-10
