@@ -14,11 +14,15 @@ kept as the three vectors, and each identity residual is an O(N) scalar (the
 nilpotent form holds by construction; :func:`verify_identities`).  Clusters
 with several members (Jordan blocks, repeated eigenvalues) and
 ill-conditioned simple eigenvalues get dense P_n and D_n by trapezoid
-quadrature of the resolvent on a circle, which is also the cross-check of
-the eigenvector projections (:func:`contour_difference`).  The quadrature
-inverts its nodes in stacks of ``_STACK`` and sums each stack with one
-matrix product, and for a real matrix and a real center it keeps only the
-upper half of the circle, the lower half being its complex conjugate.  The
+quadrature of the resolvent on a circle.  The quadrature is also the
+cross-check of the eigenvector projections (:func:`contour_difference`), on
+a circle an eighth as wide with a quarter of the nodes: the nearest other
+eigenvalue is then at least 16 radii away, so the trapezoid error bound stays
+2^-nodes, at the price of rounding that grows as the circle shrinks.  The
+quadrature inverts its nodes in stacks of ``_STACK`` and sums each stack
+with one matrix product, and for a real matrix and a real center it keeps
+only the upper half of the circle, the lower half being its complex
+conjugate.  The
 contour clusters are independent, so both callers run them on one thread
 per usable core; LAPACK and BLAS release the interpreter lock, and the
 results are bitwise those of a serial loop.
@@ -35,6 +39,7 @@ the mode sum both apply.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -79,6 +84,14 @@ DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable 
 # peak RSS of the four commands rose by 1.2 MB with stacks of 8 and by 3.8 MB
 # with one 32-node stack, at the same speed
 _STACK = 8
+# contour_difference re-derives each eigenvector cluster on a circle this
+# many times smaller than its own, with nodes / log2(2 * _CHECK_SHRINK) nodes
+# (a quarter).  Its largest figure against the full circle's: riesz-2d
+# 4.0e-14 -> 5.0e-14; at most 1.5e-12 over 1,079 1D and 2D advection-diffusion
+# operators (N 4-16, b1 0-12); a median 1.2x-1.7x, worst 13x and at most
+# 3.5e-11 on random normal 12 x 12 matrices with a pair 1e-5 to 1e-1 ||A||
+# apart.  At N = 90 it took 0.26 s against 1.01 s (2 cores, one BLAS thread)
+_CHECK_SHRINK = 8
 _ADVICE = "use the time-stepping route (--route timestep)"
 
 
@@ -298,6 +311,15 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     )
 
 
+def _near_spectrum(eigenvalues, lam: complex, radius: float) -> tuple[bool, float]:
+    """Whether the circle |z - lam| = radius is too close to the spectrum for
+    :func:`riesz_projection`, and its distance to the nearest eigenvalue."""
+    # distance of the circle itself (not just the quadrature nodes) to the
+    # spectrum: an eigenvalue on or near the contour invalidates the integral
+    dist = float(np.min(np.abs(np.abs(np.asarray(eigenvalues) - lam) - radius)))
+    return dist < 1e-8 * max(1.0, radius, abs(lam)), dist
+
+
 def riesz_projection(
     A,
     lam: complex,
@@ -330,10 +352,8 @@ def riesz_projection(
     mat = as_matrix(A)
     n = mat.shape[0]
     if eigenvalues is not None:
-        # distance of the circle itself (not just the quadrature nodes) to the
-        # spectrum: an eigenvalue on or near the contour invalidates the integral
-        dist = float(np.min(np.abs(np.abs(np.asarray(eigenvalues) - lam) - radius)))
-        if dist < 1e-8 * max(1.0, radius, abs(lam)):
+        too_close, dist = _near_spectrum(eigenvalues, lam, radius)
+        if too_close:
             raise ContourError(
                 f"contour around {lam:.6g} (radius {radius:.3g}) passes within "
                 f"{dist:.3g} of the spectrum"
@@ -374,19 +394,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_contour(A, eigsys: Eigensystem, clusters, nodes: int, f) -> list:
+def _map_contour(A, eigsys: Eigensystem, clusters, nodes, f) -> list:
     """``[f(i, *riesz_projection(...)) for i in clusters]``, on every usable core.
 
-    The calling thread and one more thread per further usable core take the
-    clusters one at a time; LAPACK and BLAS release the interpreter lock, so
-    they run at once.  ``f`` runs in the thread that made P and D, so only
-    what it keeps outlives them.  The first failing cluster in list order
-    raises, as in the serial loop.
+    Cluster i's circle has radius ``eigsys.radii[i]`` and ``nodes`` nodes, or
+    ``nodes[i]`` for an array.  The calling thread and one more thread per
+    further usable core take the clusters one at a time; LAPACK and BLAS
+    release the interpreter lock, so they run at once.  ``f`` runs in the
+    thread that made P and D, so only what it keeps outlives them.  The first
+    failing cluster in list order raises, as in the serial loop.
     """
     out = [None] * len(clusters)
     errors = {}
     todo = iter(range(len(clusters)))
     lock = threading.Lock()
+    nodes = np.broadcast_to(nodes, eigsys.n_clusters)
 
     def work():
         while True:
@@ -397,7 +419,7 @@ def _map_contour(A, eigsys: Eigensystem, clusters, nodes: int, f) -> list:
             i = clusters[j]
             try:
                 P, D = riesz_projection(
-                    A, eigsys.eigenvalues[i], eigsys.radii[i], nodes,
+                    A, eigsys.eigenvalues[i], eigsys.radii[i], int(nodes[i]),
                     eigenvalues=eigsys.raw_eigenvalues,
                 )
                 out[j] = f(i, P, D)
@@ -599,12 +621,35 @@ def contour_difference(
     from eigenvectors, so the two constructions check each other.  Clusters
     already built by the contour read 0 and are not recomputed, so the
     quadrature runs exactly once per cluster over both calls.
+
+    Each recomputed cluster is a single eigenvalue at the center of its
+    circle, and every other eigenvalue lies at least twice the radius r_n
+    away.  So the check integrates on the circle of radius
+    r_n / ``_CHECK_SHRINK`` = r_n / 8, whose nearest outside pole is at least
+    16 times its radius away, with ceil(nodes / 4) nodes: the trapezoid rule
+    errs by about (1/16)^(nodes/4) = 2^-nodes, the bound of ``nodes`` nodes on
+    r_n, for a quarter of the resolvent solves.  The price is rounding, which
+    grows about like eps ||A|| / radius as the circle shrinks.  A cluster
+    keeps r_n and ``nodes`` where either circle comes too close to the
+    spectrum for :func:`riesz_projection`: the small one only when
+    ``cluster_tol`` is below about 1.6e-7 ||A||, the full one (which then
+    raises :class:`ContourError`) only for radii that are not half-gaps.
     """
     diff = np.zeros(eigsys.n_clusters)
     clusters = np.flatnonzero(rd.simple)
     j = np.cumsum(rd.simple) - 1  # the column of V and U; P is built in the worker
+    small = eigsys.radii / _CHECK_SHRINK
+    fits = np.array(
+        [
+            not any(_near_spectrum(eigsys.raw_eigenvalues, lam, r)[0] for r in (r_n, s_n))
+            for lam, r_n, s_n in zip(eigsys.eigenvalues, eigsys.radii, small)
+        ],
+        dtype=bool,
+    )
+    few = math.ceil(nodes / math.log2(2 * _CHECK_SHRINK))
     diff[clusters] = _map_contour(
-        A, eigsys, clusters, nodes,
+        A, replace(eigsys, radii=np.where(fits, small, eigsys.radii)), clusters,
+        np.where(fits, few, nodes),
         lambda i, P, D: _maxabs(P - np.outer(rd.V[:, j[i]], rd.U[:, j[i]])),
     )
     return diff

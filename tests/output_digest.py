@@ -7,6 +7,8 @@ Runs, each in a fresh interpreter with the program from this checkout's
 ``src/``:
 
 * the four commands on ``configs/demo.ini`` and on ``bench/riesz2d.ini``;
+* ``spectrum`` on ``bench/riesz2d.ini`` with ``interior = 10 9`` (N = 90),
+  above the benchmark's sizes;
 * ``simulate --route all`` on ``configs/demo.ini``;
 * ``observability`` and ``invert`` with ``--route resolvent`` and with
   ``--route timestep`` on ``configs/demo.ini`` with the observation overrides
@@ -40,12 +42,15 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("simulate", "spectrum", "observability", "invert")
 # [observation] overrides of the routes-1d benchmark workload
 ROUTES_1D = {"times": "uniform:8", "horizon": "0.5", "timestep_K": "512"}
+# [problem] override of the riesz-2d workload for a 10 x 9 mesh
+RIESZ2D_90 = {"interior": "10 9"}
 
 
 def runs() -> list:
     """(run name, config file in OUTDIR, CLI arguments before --config)."""
     out = [(f"demo-{c}", "demo.ini", [c]) for c in COMMANDS]
     out += [(f"riesz2d-{c}", "riesz2d.ini", [c]) for c in COMMANDS]
+    out.append(("riesz2d90-spectrum", "riesz2d-90.ini", ["spectrum"]))
     out.append(("demo-simulate-all", "demo.ini", ["simulate", "--route", "all"]))
     out += [
         (f"routes1d-{c}-{route}", "routes-1d.ini", [c, "--route", route])
@@ -58,11 +63,15 @@ def runs() -> list:
 def write_configs(outdir: Path) -> None:
     (outdir / "demo.ini").write_bytes((ROOT / "configs" / "demo.ini").read_bytes())
     (outdir / "riesz2d.ini").write_bytes((ROOT / "bench" / "riesz2d.ini").read_bytes())
-    parser = configparser.ConfigParser()
-    parser.read(ROOT / "configs" / "demo.ini", encoding="utf-8")
-    parser["observation"].update(ROUTES_1D)
-    with open(outdir / "routes-1d.ini", "w", encoding="utf-8") as fh:
-        parser.write(fh)
+    for name, base, section, overrides in (
+        ("routes-1d.ini", ROOT / "configs" / "demo.ini", "observation", ROUTES_1D),
+        ("riesz2d-90.ini", ROOT / "bench" / "riesz2d.ini", "problem", RIESZ2D_90),
+    ):
+        parser = configparser.ConfigParser()
+        parser.read(base, encoding="utf-8")
+        parser[section].update(overrides)
+        with open(outdir / name, "w", encoding="utf-8") as fh:
+            parser.write(fh)
 
 
 def sha(data: bytes) -> str:

@@ -475,6 +475,142 @@ class TestContourThreads:
         assert str(threaded.value) == str(serial.value)
 
 
+def record_circles(monkeypatch):
+    """Log (center, radius, nodes, inverted nodes) of every riesz_projection
+    call, on one core so the log is in cluster order."""
+    calls = []
+    riesz, inv = spectral.riesz_projection, np.linalg.inv
+
+    def counted(A, lam, radius, nodes, **kwargs):
+        calls.append([lam, radius, nodes, 0])
+        return riesz(A, lam, radius, nodes, **kwargs)
+
+    def inverted(a):
+        calls[-1][3] += len(a)
+        return inv(a)
+
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(spectral, "riesz_projection", counted)
+    monkeypatch.setattr(np.linalg, "inv", inverted)
+    return calls
+
+
+def full_circle_difference(A, es, rd):
+    """contour_difference on every cluster's own circle with the default
+    nodes, the reference the smaller circle stands in for."""
+    diff = np.zeros(es.n_clusters)
+    for j, i in enumerate(np.flatnonzero(rd.simple)):
+        P, _ = riesz_projection(
+            A, es.eigenvalues[i], es.radii[i], DEFAULT_CONTOUR_NODES,
+            eigenvalues=es.raw_eigenvalues,
+        )
+        diff[i] = np.abs(P - np.outer(rd.V[:, j], rd.U[:, j])).max()
+    return diff
+
+
+def near_pair(gap):
+    """diag(1, 1 + 3 gap, 2, 3) coupled by gap above the diagonal: a
+    well-conditioned upper-triangular pair about gap * ||A||_2 apart."""
+    A = np.diag([1.0, 1.0 + 3.0 * gap, 2.0, 3.0])
+    A[0, 1] = gap
+    return A
+
+
+@st.composite
+def checked_operators(draw):
+    """1D or 2D advection-diffusion with N in [4, 16] and b1 in [0, 12], where
+    most clusters are built from eigenvectors."""
+    b1 = draw(st.floats(0.0, 12.0))
+    if draw(st.booleans()):
+        mesh = Mesh((0.0,), (1.0,), (draw(st.integers(4, 16)),))
+        return assemble(mesh, CoefficientField.from_callables(mesh, b1=b1)).matrix
+    nx = draw(st.integers(2, 4))
+    mesh = Mesh((0.0, 0.0), (1.0, 0.7), (nx, draw(st.integers(2, 16 // nx))))
+    coeffs = CoefficientField.from_callables(mesh, b1=b1, b2=draw(st.floats(-5.0, 5.0)))
+    return assemble(mesh, coeffs).matrix
+
+
+class TestSmallCircleCheck:
+    """contour_difference re-derives each eigenvector cluster on a circle an
+    eighth as wide with a quarter of the nodes."""
+
+    def test_demo_operator_inverts_8_nodes_per_cluster(self, monkeypatch, advection_operator):
+        es = eigendecompose(advection_operator)
+        rd = compute_riesz_data(advection_operator, es)
+        assert rd.simple.all() and np.all(es.eigenvalues.imag == 0)
+        calls = record_circles(monkeypatch)
+        spectral.contour_difference(advection_operator, es, rd)
+        assert [c[0] for c in calls] == list(es.eigenvalues)
+        assert [c[1] for c in calls] == list(es.radii / 8)
+        assert [c[2:] for c in calls] == [[16, 8]] * es.n_clusters
+
+    def test_non_real_centers_keep_every_node(self, monkeypatch):
+        A = scipy.linalg.block_diag([[1.0, 2.0], [-2.0, 1.0]], [[3.0]])
+        A = A + 0.1 * np.triu(np.ones((3, 3)), 1)
+        es = eigendecompose(A)
+        rd = compute_riesz_data(A, es)
+        assert rd.simple.all()
+        calls = record_circles(monkeypatch)
+        diff = spectral.contour_difference(A, es, rd)
+        inverted = [16 if c[0].imag else 8 for c in calls]
+        assert sorted(np.sign(c[0].imag) for c in calls) == [-1.0, 0.0, 1.0]
+        assert [c[3] for c in calls] == inverted and diff.max() <= 1e-12
+
+    def test_detects_a_perturbed_eigenvector(self, advection_operator):
+        es = eigendecompose(advection_operator)
+        rd = compute_riesz_data(advection_operator, es)
+        j = 13
+        V = rd.V.copy()
+        V[:, j] += 1e-9
+        broken = dataclasses.replace(rd, V=V)
+        diff = spectral.contour_difference(advection_operator, es, broken)
+        assert diff[j] >= 0.5e-9 * np.abs(rd.U[:, j]).max()
+        assert np.delete(diff, j).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=checked_operators())
+    def test_agrees_with_the_full_circle(self, A):
+        try:
+            es = eigendecompose(A)
+        except NumericsError:  # a cluster spread over its radius
+            return
+        self.assert_agrees_with_the_full_circle(A, es)
+
+    @pytest.mark.parametrize("gap", [2e-5, 1e-3])
+    def test_near_pair_agrees_with_the_full_circle(self, gap):
+        es = eigendecompose(near_pair(gap))
+        assert (es.condition <= KAPPA_MAX).all() and es.radii.min() < 2 * gap
+        self.assert_agrees_with_the_full_circle(near_pair(gap), es)
+
+    @staticmethod
+    def assert_agrees_with_the_full_circle(A, es):
+        rd = compute_riesz_data(A, es)
+        diff = spectral.contour_difference(A, es, rd)
+        assert diff.max() <= 1e-10
+        assert np.abs(diff - full_circle_difference(A, es, rd)).max() <= 1e-10
+
+    def test_small_circle_too_close_keeps_the_full_circle(self, monkeypatch):
+        # at cluster_tol = 0 the pair 4e-8 apart gets radii 2e-8, whose
+        # eighth passes within the guard's 1e-8 of its own eigenvalue
+        A = np.diag([1.0, 1.0 + 4e-8, 3.0])
+        A[0, 2] = 0.3
+        es = eigendecompose(A, cluster_tol=0.0)
+        rd = compute_riesz_data(A, es)
+        assert rd.simple.all()
+        with pytest.raises(ContourError):
+            riesz_projection(
+                A, es.eigenvalues[0], es.radii[0] / 8, 16, eigenvalues=es.raw_eigenvalues
+            )
+        calls = record_circles(monkeypatch)
+        diff = spectral.contour_difference(A, es, rd)
+        monkeypatch.undo()
+        assert [c[1:3] for c in calls] == [
+            [es.radii[0], 64], [es.radii[1], 64], [es.radii[2] / 8, 16]
+        ]
+        assert np.array_equal(diff[:2], full_circle_difference(A, es, rd)[:2])
+        assert diff.max() <= 1e-9
+
+
 class TestIdentities:
     def test_advection_operator_residuals(self, advection_operator):
         rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
