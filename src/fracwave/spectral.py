@@ -19,13 +19,15 @@ cross-check of the eigenvector projections (:func:`contour_difference`), on
 a circle an eighth as wide with a quarter of the nodes: the nearest other
 eigenvalue is then at least 16 radii away, so the trapezoid error bound stays
 2^-nodes, at the price of rounding that grows as the circle shrinks.  The
-quadrature inverts its nodes in stacks of ``_STACK`` and sums each stack
-with one matrix product, and for a real matrix and a real center it keeps
-only the upper half of the circle, the lower half being its complex
-conjugate.  The
-contour clusters are independent, so both callers run them on one thread
-per usable core; LAPACK and BLAS release the interpreter lock, and the
-results are bitwise those of a serial loop.
+quadrature solves its nodes in stacks of ``_STACK`` against a block X of
+right-hand sides and sums each stack with one matrix product, giving P X and
+D X: X = I builds the dense P_n and D_n, while the cross-check applies both
+constructions to ``_PROBES`` fixed unit vectors, one LU and a few
+back-solves per node in place of an inverse.  For a real matrix and a real
+center it keeps only the upper half of the circle, the lower half being its
+complex conjugate.  The contour clusters are independent, so both callers
+run them on one thread per usable core; LAPACK and BLAS release the
+interpreter lock, and the results are bitwise those of a serial loop.
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -79,7 +81,7 @@ KAPPA_MAX = 10.0
 CONDITION_MAX = 1e6
 IDENTITY_TOL = 1e-8
 DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable cluster
-# contour nodes per np.linalg.inv call; the threads' malloc arenas keep what
+# contour nodes per np.linalg.solve call; the threads' malloc arenas keep what
 # their stacks freed: on bench/riesz2d.ini (32 kept nodes of 48 x 48) the
 # peak RSS of the four commands rose by 1.2 MB with stacks of 8 and by 3.8 MB
 # with one 32-node stack, at the same speed
@@ -92,6 +94,12 @@ _STACK = 8
 # 3.5e-11 on random normal 12 x 12 matrices with a pair 1e-5 to 1e-1 ||A||
 # apart.  At N = 90 it took 0.26 s against 1.01 s (2 cores, one BLAS thread)
 _CHECK_SHRINK = 8
+# contour_difference compares P_n X with v (u.X) for this many seeded Gaussian
+# columns X of unit 2-norm: a block of 4 in place of I took the check on the
+# riesz-2d operator from 0.31 to 0.13 s at N = 90 and from 8.9 to 2.4 s at
+# N = 240 (2 cores, one BLAS thread), with every figure at the same magnitude
+# (largest at N = 48 4.95e-14 -> 4.25e-14, at N = 240 1.85e-13 -> 1.64e-13)
+_PROBES = 4
 _ADVICE = "use the time-stepping route (--route timestep)"
 
 
@@ -177,10 +185,16 @@ class RieszData:
         selects a column of P_n or of P_n^T bitwise.
         """
         flat = x.reshape(len(x), -1)
-        v, u = self.V.T[:, :, None], self.U.T[:, :, None]
         out = np.empty((self.n_clusters, *flat.shape), dtype=complex)
-        out[self.simple] = (
-            (self.V.T @ flat)[:, None] * u if self.transposed else v * (self.U.T @ flat)[:, None]
+        # the simple clusters' factors scattered to cluster rows, so that one
+        # masked product writes every simple block straight into out
+        vec = np.zeros((self.n_clusters, len(flat), 1), dtype=complex)
+        vec[self.simple, :, 0] = (self.U if self.transposed else self.V).T
+        dots = np.zeros((self.n_clusters, 1, flat.shape[1]), dtype=complex)
+        dots[self.simple, 0] = (self.V if self.transposed else self.U).T @ flat
+        np.multiply(
+            *((dots, vec) if self.transposed else (vec, dots)),
+            out=out, where=self.simple[:, None, None],
         )
         for i, (P, _) in zip(np.flatnonzero(~self.simple), self.contour):
             out[i] = (P.T if self.transposed else P) @ flat
@@ -311,13 +325,16 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     )
 
 
-def _near_spectrum(eigenvalues, lam: complex, radius: float) -> tuple[bool, float]:
-    """Whether the circle |z - lam| = radius is too close to the spectrum for
-    :func:`riesz_projection`, and its distance to the nearest eigenvalue."""
+def _near_spectrum(eigenvalues, lam, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each circle |z - lam| = radius is too close to the spectrum for
+    :func:`riesz_projection`, and its distance to the nearest eigenvalue;
+    ``lam`` and ``radius`` broadcast against each other."""
     # distance of the circle itself (not just the quadrature nodes) to the
     # spectrum: an eigenvalue on or near the contour invalidates the integral
-    dist = float(np.min(np.abs(np.abs(np.asarray(eigenvalues) - lam) - radius)))
-    return dist < 1e-8 * max(1.0, radius, abs(lam)), dist
+    lam, radius = np.asarray(lam), np.asarray(radius)
+    gaps = np.abs(np.asarray(eigenvalues) - lam[..., None])
+    dist = np.min(np.abs(gaps - radius[..., None]), axis=-1)
+    return dist < 1e-8 * np.maximum(np.maximum(1.0, radius), np.abs(lam)), dist
 
 
 def riesz_projection(
@@ -326,8 +343,10 @@ def riesz_projection(
     radius: float,
     nodes: int = DEFAULT_CONTOUR_NODES,
     eigenvalues: np.ndarray | None = None,
+    block: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projection P and nilpotent D of the cluster inside a circle.
+    """P X and D X for the spectral projection P and nilpotent D of the
+    cluster inside a circle, and a block X of columns (default I: P and D).
 
     Trapezoid rule on the circle |z - lam| = radius, spectrally accurate for
     the analytic resolvent (Trefethen & Weideman, SIAM Rev. 56, 2014): with
@@ -339,13 +358,15 @@ def riesz_projection(
     where R(z) = (z I - A)^{-1}.  For real A and real lam, R(conj z) =
     conj R(z) and node k pairs with node nodes-1-k, so only the nodes with
     theta_k in (0, pi] are solved: each pair counts twice and the real part
-    is kept (for odd ``nodes`` the single node at theta = pi counts once).
-    The kept nodes are inverted in stacks of at most ``_STACK``, and each
-    stack adds to both sums in one product of the (2, stack) weights with the
-    flattened inverses; the stacks are summed in node order.  P and D are
-    complex either way.  When ``eigenvalues`` is supplied, a circle too close
-    to the spectrum raises :class:`ContourError` with the offending distance;
-    a singular node raises it too.
+    is kept (for odd ``nodes`` the single node at theta = pi counts once;
+    ``block`` must then be real).  The kept nodes are solved against X in
+    stacks of at most ``_STACK``, one LU and one back-solve per column and
+    node (for X = I bitwise the inverse), and each stack adds to both sums in
+    one product of the (2, stack) weights with the flattened solutions; the
+    stacks are summed in node order.  P X and D X are complex either way.
+    When ``eigenvalues`` is supplied, a circle too close to the spectrum
+    raises :class:`ContourError` with the offending distance; a singular node
+    raises it too.
     """
     if nodes < 1:
         raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
@@ -358,6 +379,7 @@ def riesz_projection(
                 f"contour around {lam:.6g} (radius {radius:.3g}) passes within "
                 f"{dist:.3g} of the spectrum"
             )
+    rhs = np.eye(n, dtype=complex) if block is None else np.asarray(block, dtype=complex)
     conjugate = np.isrealobj(mat) and np.imag(lam) == 0
     k = np.arange((nodes + 1) // 2 if conjugate else nodes)
     phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
@@ -366,7 +388,7 @@ def riesz_projection(
     if conjugate:
         w[: nodes // 2] *= 2.0  # the mirror node's conjugate term
     weights = np.stack([w, w * (zs - lam)])  # the rows of P and of D
-    sums = np.zeros((2, n * n), dtype=complex)
+    sums = np.zeros((2, rhs.size), dtype=complex)
     # z_k I - A for a stack of nodes, built in place in one buffer
     shifted = np.empty((min(_STACK, len(k)), n, n), dtype=complex)
     diag = np.arange(n)
@@ -375,13 +397,13 @@ def riesz_projection(
         np.negative(mat, out=stack)
         stack[:, diag, diag] += zs[start : start + _STACK, None]
         try:
-            res = np.linalg.inv(stack)
+            res = np.linalg.solve(stack, rhs)
         except np.linalg.LinAlgError as exc:
             raise ContourError(
                 f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"
             ) from exc
-        sums += weights[:, start : start + _STACK] @ res.reshape(len(stack), n * n)
-    P, D = sums.reshape(2, n, n)
+        sums += weights[:, start : start + _STACK] @ res.reshape(len(stack), rhs.size)
+    P, D = sums.reshape(2, *rhs.shape)
     if conjugate:
         P, D = P.real.astype(complex), D.real.astype(complex)
     return P, D
@@ -394,15 +416,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_contour(A, eigsys: Eigensystem, clusters, nodes, f) -> list:
-    """``[f(i, *riesz_projection(...)) for i in clusters]``, on every usable core.
+def _map_contour(A, eigsys: Eigensystem, clusters, nodes, block, f) -> list:
+    """``[f(i, *riesz_projection(..., block=block)) for i in clusters]``, on
+    every usable core.
 
     Cluster i's circle has radius ``eigsys.radii[i]`` and ``nodes`` nodes, or
     ``nodes[i]`` for an array.  The calling thread and one more thread per
     further usable core take the clusters one at a time; LAPACK and BLAS
     release the interpreter lock, so they run at once.  ``f`` runs in the
-    thread that made P and D, so only what it keeps outlives them.  The first
-    failing cluster in list order raises, as in the serial loop.
+    thread that made P X and D X, so only what it keeps outlives them.  The
+    first failing cluster in list order raises, as in the serial loop.
     """
     out = [None] * len(clusters)
     errors = {}
@@ -420,7 +443,7 @@ def _map_contour(A, eigsys: Eigensystem, clusters, nodes, f) -> list:
             try:
                 P, D = riesz_projection(
                     A, eigsys.eigenvalues[i], eigsys.radii[i], int(nodes[i]),
-                    eigenvalues=eigsys.raw_eigenvalues,
+                    eigenvalues=eigsys.raw_eigenvalues, block=block,
                 )
                 out[j] = f(i, P, D)
             except Exception as exc:  # raised below, in the caller's thread
@@ -475,7 +498,7 @@ def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODE
     def contour(i, P, D):
         return P, D, max(_numerical_rank(P), 1), np.linalg.norm(D, 2)
 
-    built = _map_contour(A, eigsys, np.flatnonzero(~simple), nodes, contour)
+    built = _map_contour(A, eigsys, np.flatnonzero(~simple), nodes, np.eye(len(mat)), contour)
     ranks, defect = np.ones(len(lam), dtype=int), np.empty(len(lam))
     defect[simple] = np.linalg.norm(R, axis=0) * np.linalg.norm(U, axis=0)
     for i, (_, _, rank, norm) in zip(np.flatnonzero(~simple), built):
@@ -615,12 +638,20 @@ def completeness_defect(rd: RieszData) -> float:
 def contour_difference(
     A, eigsys: Eigensystem, rd: RieszData, nodes: int = DEFAULT_CONTOUR_NODES
 ) -> np.ndarray:
-    """max|P_n - P_contour| per cluster of ``rd = compute_riesz_data(A, eigsys, nodes)``.
+    """max|(P_contour - P_n) X| per cluster of ``rd = compute_riesz_data(A, eigsys, nodes)``.
 
     Recomputes by :func:`riesz_projection` the projections that were built
     from eigenvectors, so the two constructions check each other.  Clusters
     already built by the contour read 0 and are not recomputed, so the
     quadrature runs exactly once per cluster over both calls.
+
+    Both constructions are applied to the same X of :func:`_probes`:
+    ``_PROBES`` fixed Gaussian columns of unit 2-norm, so each node costs
+    one LU and ``_PROBES`` back-solves, not an inverse (a randomized check,
+    Halko, Martinsson & Tropp, SIAM Rev. 53, 2011).  An entry of (dP) X is
+    at most the 2-norm of a row of dP = P_contour - v u^T, hence at most
+    sqrt(N) max|dP|, and a nonzero dP that every probe misses has
+    probability zero.
 
     Each recomputed cluster is a single eigenvalue at the center of its
     circle, and every other eigenvalue lies at least twice the radius r_n
@@ -637,22 +668,25 @@ def contour_difference(
     """
     diff = np.zeros(eigsys.n_clusters)
     clusters = np.flatnonzero(rd.simple)
-    j = np.cumsum(rd.simple) - 1  # the column of V and U; P is built in the worker
+    j = np.cumsum(rd.simple) - 1  # the column of V and U; P X is built in the worker
     small = eigsys.radii / _CHECK_SHRINK
-    fits = np.array(
-        [
-            not any(_near_spectrum(eigsys.raw_eigenvalues, lam, r)[0] for r in (r_n, s_n))
-            for lam, r_n, s_n in zip(eigsys.eigenvalues, eigsys.radii, small)
-        ],
-        dtype=bool,
-    )
+    circles = np.stack([eigsys.radii, small])
+    fits = ~_near_spectrum(eigsys.raw_eigenvalues, eigsys.eigenvalues, circles)[0].any(axis=0)
     few = math.ceil(nodes / math.log2(2 * _CHECK_SHRINK))
+    X = _probes(len(rd.V))
     diff[clusters] = _map_contour(
         A, replace(eigsys, radii=np.where(fits, small, eigsys.radii)), clusters,
-        np.where(fits, few, nodes),
-        lambda i, P, D: _maxabs(P - np.outer(rd.V[:, j[i]], rd.U[:, j[i]])),
+        np.where(fits, few, nodes), X,
+        lambda i, PX, DX: _maxabs(PX - rd.V[:, j[i], None] * (rd.U[:, j[i]] @ X)),
     )
     return diff
+
+
+def _probes(n: int) -> np.ndarray:
+    """The (n, ``_PROBES``) block X of :func:`contour_difference`: Gaussian
+    columns from a fixed seed, scaled to unit 2-norm."""
+    X = np.random.default_rng(0).standard_normal((n, _PROBES))
+    return X / np.linalg.norm(X, axis=0)
 
 
 def write_spectrum_csv(

@@ -7,8 +7,8 @@ Runs, each in a fresh interpreter with the program from this checkout's
 ``src/``:
 
 * the four commands on ``configs/demo.ini`` and on ``bench/riesz2d.ini``;
-* ``spectrum`` on ``bench/riesz2d.ini`` with ``interior = 10 9`` (N = 90),
-  above the benchmark's sizes;
+* ``spectrum`` and ``observability`` on ``bench/riesz2d.ini`` with
+  ``interior = 10 9`` (N = 90), above the benchmark's sizes;
 * ``simulate --route all`` on ``configs/demo.ini``;
 * ``observability`` and ``invert`` with ``--route resolvent`` and with
   ``--route timestep`` on ``configs/demo.ini`` with the observation overrides
@@ -50,7 +50,7 @@ def runs() -> list:
     """(run name, config file in OUTDIR, CLI arguments before --config)."""
     out = [(f"demo-{c}", "demo.ini", [c]) for c in COMMANDS]
     out += [(f"riesz2d-{c}", "riesz2d.ini", [c]) for c in COMMANDS]
-    out.append(("riesz2d90-spectrum", "riesz2d-90.ini", ["spectrum"]))
+    out += [(f"riesz2d90-{c}", "riesz2d-90.ini", [c]) for c in ("spectrum", "observability")]
     out.append(("demo-simulate-all", "demo.ini", ["simulate", "--route", "all"]))
     out += [
         (f"routes1d-{c}-{route}", "routes-1d.ini", [c, "--route", route])

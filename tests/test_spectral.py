@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import sys
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -227,18 +228,20 @@ class TestRieszProjection:
         (np.diag([1.0, 2.0]).astype(complex), 1.0, 64),
     ])
     def test_inverse_stacks_of_at_most_8(self, monkeypatch, A, lam, solved):
+        # the default block is I: each stack is solved against the identity
         stacks = []
-        original = np.linalg.inv
+        original = np.linalg.solve
 
-        def counted(a):
+        def counted(a, b):
+            assert np.array_equal(b, np.eye(2))
             stacks.append(a.shape)
-            return original(a)
+            return original(a, b)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("resolvent by a solve call")
+            raise AssertionError("resolvent by an inverse or a scipy solve")
 
-        monkeypatch.setattr(np.linalg, "inv", counted)
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(scipy.linalg, "solve", forbidden)
         riesz_projection(A, lam, 0.4, 64)
         assert spectral._STACK == 8
@@ -286,6 +289,33 @@ def contour_problems(draw):
     return A, lam, radius, nodes
 
 
+def inverse_contour(A, lam, radius, nodes):
+    """The quadrature of riesz_projection with each node's resolvent by its
+    own np.linalg.inv, summed in the same stacks of 8."""
+    mat = np.asarray(A)
+    n = mat.shape[0]
+    conjugate = np.isrealobj(mat) and np.imag(lam) == 0
+    k = np.arange((nodes + 1) // 2 if conjugate else nodes)
+    phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
+    zs = lam + radius * phase
+    w = radius * phase / nodes
+    if conjugate:
+        w[: nodes // 2] *= 2.0
+    weights = np.stack([w, w * (zs - lam)])
+    sums = np.zeros((2, n * n), dtype=complex)
+    for start in range(0, len(k), 8):
+        res = []
+        for z in zs[start : start + 8]:
+            shifted = np.negative(mat).astype(complex)
+            shifted[np.diag_indices(n)] += z
+            res.append(np.linalg.inv(shifted))
+        sums += weights[:, start : start + 8] @ np.reshape(res, (len(res), n * n))
+    P, D = sums.reshape(2, n, n)
+    if conjugate:
+        P, D = P.real.astype(complex), D.real.astype(complex)
+    return P, D
+
+
 class TestHalvedBatchedQuadrature:
     """riesz_projection against the per-node reference sum."""
 
@@ -301,6 +331,26 @@ class TestHalvedBatchedQuadrature:
             assert not P.imag.any() and not D.imag.any()
         assert np.max(np.abs(P - P_ref)) <= 1e-12 * scale
         assert np.max(np.abs(D - D_ref)) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=contour_problems())
+    def test_identity_block_is_the_inverse_bitwise(self, problem):
+        A, lam, radius, nodes = problem
+        P, D = riesz_projection(A, lam, radius, nodes, block=np.eye(len(A)))
+        P_inv, D_inv = inverse_contour(A, lam, radius, nodes)
+        assert np.array_equal(P, P_inv) and np.array_equal(D, D_inv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=contour_problems(), columns=st.integers(1, 4))
+    def test_block_is_applied_to_p_and_d(self, problem, columns):
+        A, lam, radius, nodes = problem
+        X = np.random.default_rng(nodes).standard_normal((len(A), columns))
+        PX, DX = riesz_projection(A, lam, radius, nodes, block=X)
+        P, D = riesz_projection(A, lam, radius, nodes)
+        assert PX.shape == DX.shape == X.shape
+        scale = max(1.0, np.max(np.abs(P))) * np.abs(X).sum(axis=0).max()
+        assert np.max(np.abs(PX - P @ X)) <= 1e-12 * scale
+        assert np.max(np.abs(DX - D @ X)) <= 1e-12 * scale
 
 
 def contour_projection(A, es, i):
@@ -476,35 +526,36 @@ class TestContourThreads:
 
 
 def record_circles(monkeypatch):
-    """Log (center, radius, nodes, inverted nodes) of every riesz_projection
+    """Log (center, radius, nodes, solved nodes) of every riesz_projection
     call, on one core so the log is in cluster order."""
     calls = []
-    riesz, inv = spectral.riesz_projection, np.linalg.inv
+    riesz, solve = spectral.riesz_projection, np.linalg.solve
 
     def counted(A, lam, radius, nodes, **kwargs):
         calls.append([lam, radius, nodes, 0])
         return riesz(A, lam, radius, nodes, **kwargs)
 
-    def inverted(a):
+    def solved(a, b):
         calls[-1][3] += len(a)
-        return inv(a)
+        return solve(a, b)
 
     monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
     monkeypatch.setattr(spectral, "riesz_projection", counted)
-    monkeypatch.setattr(np.linalg, "inv", inverted)
+    monkeypatch.setattr(np.linalg, "solve", solved)
     return calls
 
 
 def full_circle_difference(A, es, rd):
     """contour_difference on every cluster's own circle with the default
-    nodes, the reference the smaller circle stands in for."""
+    nodes and the same probes, the reference the smaller circle stands in for."""
     diff = np.zeros(es.n_clusters)
+    X = spectral._probes(len(A))
     for j, i in enumerate(np.flatnonzero(rd.simple)):
-        P, _ = riesz_projection(
+        PX, _ = riesz_projection(
             A, es.eigenvalues[i], es.radii[i], DEFAULT_CONTOUR_NODES,
-            eigenvalues=es.raw_eigenvalues,
+            eigenvalues=es.raw_eigenvalues, block=X,
         )
-        diff[i] = np.abs(P - np.outer(rd.V[:, j], rd.U[:, j])).max()
+        diff[i] = np.abs(PX - rd.V[:, j, None] * (rd.U[:, j] @ X)).max()
     return diff
 
 
@@ -532,9 +583,9 @@ def checked_operators(draw):
 
 class TestSmallCircleCheck:
     """contour_difference re-derives each eigenvector cluster on a circle an
-    eighth as wide with a quarter of the nodes."""
+    eighth as wide with a quarter of the nodes, applied to fixed probes."""
 
-    def test_demo_operator_inverts_8_nodes_per_cluster(self, monkeypatch, advection_operator):
+    def test_demo_operator_solves_8_nodes_per_cluster(self, monkeypatch, advection_operator):
         es = eigendecompose(advection_operator)
         rd = compute_riesz_data(advection_operator, es)
         assert rd.simple.all() and np.all(es.eigenvalues.imag == 0)
@@ -552,9 +603,9 @@ class TestSmallCircleCheck:
         assert rd.simple.all()
         calls = record_circles(monkeypatch)
         diff = spectral.contour_difference(A, es, rd)
-        inverted = [16 if c[0].imag else 8 for c in calls]
+        solved = [16 if c[0].imag else 8 for c in calls]
         assert sorted(np.sign(c[0].imag) for c in calls) == [-1.0, 0.0, 1.0]
-        assert [c[3] for c in calls] == inverted and diff.max() <= 1e-12
+        assert [c[3] for c in calls] == solved and diff.max() <= 1e-12
 
     def test_detects_a_perturbed_eigenvector(self, advection_operator):
         es = eigendecompose(advection_operator)
@@ -575,6 +626,48 @@ class TestSmallCircleCheck:
         except NumericsError:  # a cluster spread over its radius
             return
         self.assert_agrees_with_the_full_circle(A, es)
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=checked_operators())
+    def test_probes_see_at_most_sqrt_n_times_the_entrywise_figure(self, A):
+        # unit probe columns x give |(dP x)_i| <= ||dP_i,:||_2 <= sqrt(N)
+        # max|dP|.  Both figures are rounding, so the computed ones may break
+        # this by rounding: in 1,500 draws of this strategy the probe figure
+        # never exceeded sqrt(N) times the entrywise one (the ratio reached
+        # sqrt(N) only at N = 4, with both figures 2-4 ulps of 1); the slack
+        # of 4 eps allows a few more ulps on either side
+        try:
+            es = eigendecompose(A)
+        except NumericsError:  # a cluster spread over its radius
+            return
+        rd = compute_riesz_data(A, es)
+        probe = spectral.contour_difference(A, es, rd)
+        with unittest.mock.patch.object(spectral, "_probes", np.eye):
+            entry = spectral.contour_difference(A, es, rd)
+        assert np.all(probe <= np.sqrt(len(A)) * entry + 4 * np.finfo(float).eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=checked_operators(), tol=st.sampled_from([None, 0.0, 1e-3]))
+    def test_circles_chosen_as_by_the_scalar_guard(self, A, tol):
+        # the guard of every (center, radius) pair at once, bit for bit the
+        # scalar test riesz_projection once made for one circle
+        try:
+            es = eigendecompose(A, cluster_tol=tol)
+        except NumericsError:
+            return
+        circles = np.stack([es.radii, es.radii / 8])
+        near, dist = spectral._near_spectrum(es.raw_eigenvalues, es.eigenvalues, circles)
+        for i, lam in enumerate(es.eigenvalues):
+            for c, radius in enumerate(circles[:, i]):
+                d = float(np.min(np.abs(np.abs(es.raw_eigenvalues - lam) - radius)))
+                assert dist[c, i] == d
+                assert near[c, i] == (d < 1e-8 * max(1.0, radius, abs(lam)))
+
+    def test_probes_are_fixed_unit_columns(self):
+        X = spectral._probes(48)
+        assert X.shape == (48, spectral._PROBES) == (48, 4)
+        np.testing.assert_allclose(np.linalg.norm(X, axis=0), 1.0, rtol=1e-15)
+        assert np.array_equal(X, spectral._probes(48))
 
     @pytest.mark.parametrize("gap", [2e-5, 1e-3])
     def test_near_pair_agrees_with_the_full_circle(self, gap):
@@ -842,6 +935,27 @@ class TestFactoredStorage:
         want = (want + np.tensordot(te2, proj @ source.b, axes=1)).real
         assert np.abs(states - want).max() <= 1e-13 * np.abs(want).max()
 
+    @settings(max_examples=40, deadline=None)
+    @given(A=advection_operators(), columns=st.integers(1, 5))
+    def test_apply_is_the_masked_broadcast_bitwise(self, A, columns):
+        # the product written in place against the broadcast product copied
+        # in through the mask, the same multiplications in the same order
+        try:
+            es = eigendecompose(A)
+        except NumericsError:  # a cluster spread over its radius
+            return
+        rd = compute_riesz_data(A, es)
+        x = np.random.default_rng(columns).standard_normal((len(A), columns))
+        for r in (rd, rd.transpose()):
+            want = np.empty((r.n_clusters, len(A), columns), dtype=complex)
+            if r.transposed:
+                want[r.simple] = (r.V.T @ x)[:, None] * r.U.T[:, :, None]
+            else:
+                want[r.simple] = r.V.T[:, :, None] * (r.U.T @ x)[:, None]
+            for i, (P, _) in zip(np.flatnonzero(~r.simple), r.contour):
+                want[i] = (P.T if r.transposed else P) @ x
+            assert np.array_equal(r.apply(x), want)
+
     def test_memory_stays_linear_per_cluster(self):
         # dense storage would hold 100 x 2 matrices of 160 kB, about 32 MB
         mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 10))
@@ -858,6 +972,28 @@ class TestFactoredStorage:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_mode_sum_holds_one_cluster_block(self):
+        # the 90 unit sources of an observation map on the 10 x 9 mesh: each
+        # simple cluster's v (u.x) goes straight into the (clusters, N, m)
+        # block of P_n x, which is 11.7 MB: the peak is 12.2 MB, where a
+        # broadcast temporary copied in through the mask took it to 23.7 MB
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 9))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+        rd = compute_riesz_data(op, eigendecompose(op))
+        assert rd.simple.all() and rd.n_clusters == 90
+        source = SourcePair(np.eye(90), np.zeros((90, 90)))
+        solve_spectral_oracle(rd, source, 1.5, [0.5, 1.0])
+        block = 90 * 90 * 90 * 16
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve_spectral_oracle(rd, source, 1.5, [0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert block < peak < 1.2 * block
 
 
 class TestLemma3:
