@@ -64,10 +64,10 @@ def _write_manifest(
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _write_slices(outdir: str, route: str, times, states) -> list:
+def _write_slices(outdir: str, route: str, labels, states) -> list:
     paths = []
-    for t, state in zip(times, states):
-        path = os.path.join(outdir, f"u_{route}_t{t:.6g}.csv")
+    for label, state in zip(labels, states):
+        path = os.path.join(outdir, f"u_{route}_t{label}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("node,value\n")
             for i, v in enumerate(state):
@@ -104,6 +104,15 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
     source = cfg.build_source()
     times = cfg.solver_times()
+    labels = [f"{t:.6g}" for t in times]  # the time in each slice file's name
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            first = times[labels.index(label)]
+            raise ConfigError(
+                f"[solver] times: {float(first)!r} and {float(times[i])!r} share the slice "
+                f"file name u_<route>_t{label}.csv; give times that differ in their first "
+                f"6 significant digits"
+            )
     grid = (cfg.problem.T, cfg.problem.K)
     outputs = []
     solutions = {}
@@ -111,7 +120,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
         method = _route_method(cfg, op, route, grid, "[problem] T, K")
         sol = _checked("[solver] times", solve, op, source, cfg.problem.alpha, times, method)
         solutions[route] = sol
-        outputs += _write_slices(outdir, route, times, sol.states)
+        outputs += _write_slices(outdir, route, labels, sol.states)
 
     diff_path = os.path.join(outdir, "route_differences.csv")
     with open(diff_path, "w", encoding="utf-8", newline="") as fh:

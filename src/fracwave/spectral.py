@@ -19,15 +19,16 @@ cross-check of the eigenvector projections (:func:`contour_difference`), on
 a circle an eighth as wide with a quarter of the nodes: the nearest other
 eigenvalue is then at least 16 radii away, so the trapezoid error bound stays
 2^-nodes, at the price of rounding that grows as the circle shrinks.  The
-quadrature solves its nodes in stacks of ``_STACK`` against a block X of
-right-hand sides and sums each stack with one matrix product, giving P X and
-D X: X = I builds the dense P_n and D_n, while the cross-check applies both
+quadrature solves its nodes against a block X of right-hand sides and sums
+them in groups of ``_STACK``, one matrix product each, giving P X and D X:
+X = I builds the dense P_n and D_n, while the cross-check applies both
 constructions to ``_PROBES`` fixed unit vectors, one LU and a few
 back-solves per node in place of an inverse.  For a real matrix and a real
 center it keeps only the upper half of the circle, the lower half being its
-complex conjugate.  The contour clusters are independent, so both callers
-run them on one thread per usable core; LAPACK and BLAS release the
-interpreter lock, and the results are bitwise those of a serial loop.
+complex conjugate.  Both callers hand all their circles to one batched core
+(:func:`_contour_sums`), which solves them in pieces of whole circles on one
+thread per usable core; LAPACK and BLAS release the interpreter lock, and
+the results are bitwise those of one circle at a time.
 
 All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
@@ -41,6 +42,7 @@ the mode sum both apply.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import threading
@@ -81,11 +83,19 @@ KAPPA_MAX = 10.0
 CONDITION_MAX = 1e6
 IDENTITY_TOL = 1e-8
 DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable cluster
-# contour nodes per np.linalg.solve call; the threads' malloc arenas keep what
-# their stacks freed: on bench/riesz2d.ini (32 kept nodes of 48 x 48) the
-# peak RSS of the four commands rose by 1.2 MB with stacks of 8 and by 3.8 MB
-# with one 32-node stack, at the same speed
+# kept nodes per group of the quadrature sums: each group adds to P X and
+# D X in one product of its (2, group) weights with the flattened solutions,
+# so the group size, not the solve batches, fixes their rounding.  A circle
+# larger than a piece is solved in stacks of whole groups
 _STACK = 8
+# largest size of the shifted matrices z I - A that one np.linalg.solve
+# takes, whole circles at a time: a piece is 4 circles of 8 kept nodes on the
+# demo operator (N = 32), 1 from N = 46, and from N = 65 one group of 8 nodes
+# exceeds it, so each such circle is solved in stacks of 8.  Pieces of 1 MB
+# were no faster and took demo-1d's peak RSS 1.4 MB higher (one BLAS thread,
+# 2 cores).  The calling thread allocates each worker's buffer, so no helper
+# thread's malloc arena keeps one after the call
+_PIECE_BYTES = 1 << 19
 # contour_difference re-derives each eigenvector cluster on a circle this
 # many times smaller than its own, with nodes / log2(2 * _CHECK_SHRINK) nodes
 # (a quarter).  Its largest figure against the full circle's: riesz-2d
@@ -359,54 +369,18 @@ def riesz_projection(
     conj R(z) and node k pairs with node nodes-1-k, so only the nodes with
     theta_k in (0, pi] are solved: each pair counts twice and the real part
     is kept (for odd ``nodes`` the single node at theta = pi counts once;
-    ``block`` must then be real).  The kept nodes are solved against X in
-    stacks of at most ``_STACK``, one LU and one back-solve per column and
-    node (for X = I bitwise the inverse), and each stack adds to both sums in
-    one product of the (2, stack) weights with the flattened solutions; the
-    stacks are summed in node order.  P X and D X are complex either way.
-    When ``eigenvalues`` is supplied, a circle too close to the spectrum
-    raises :class:`ContourError` with the offending distance; a singular node
-    raises it too.
+    ``block`` must then be real).  Each kept node costs one LU and one
+    back-solve per column of X (for X = I bitwise the inverse), and the sums
+    add groups of ``_STACK`` nodes in node order, one product of the
+    (2, group) weights with the flattened solutions each.  P X and D X are
+    complex either way.  When ``eigenvalues`` is supplied, a circle too close
+    to the spectrum raises :class:`ContourError` with the offending distance;
+    a singular node raises it too.  This is the one-circle case of
+    :func:`_contour_sums`, which :func:`compute_riesz_data` and
+    :func:`contour_difference` call for all their circles at once.
     """
-    if nodes < 1:
-        raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
-    mat = as_matrix(A)
-    n = mat.shape[0]
-    if eigenvalues is not None:
-        too_close, dist = _near_spectrum(eigenvalues, lam, radius)
-        if too_close:
-            raise ContourError(
-                f"contour around {lam:.6g} (radius {radius:.3g}) passes within "
-                f"{dist:.3g} of the spectrum"
-            )
-    rhs = np.eye(n, dtype=complex) if block is None else np.asarray(block, dtype=complex)
-    conjugate = np.isrealobj(mat) and np.imag(lam) == 0
-    k = np.arange((nodes + 1) // 2 if conjugate else nodes)
-    phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
-    zs = lam + radius * phase
-    w = radius * phase / nodes
-    if conjugate:
-        w[: nodes // 2] *= 2.0  # the mirror node's conjugate term
-    weights = np.stack([w, w * (zs - lam)])  # the rows of P and of D
-    sums = np.zeros((2, rhs.size), dtype=complex)
-    # z_k I - A for a stack of nodes, built in place in one buffer
-    shifted = np.empty((min(_STACK, len(k)), n, n), dtype=complex)
-    diag = np.arange(n)
-    for start in range(0, len(k), _STACK):
-        stack = shifted[: len(k) - start]
-        np.negative(mat, out=stack)
-        stack[:, diag, diag] += zs[start : start + _STACK, None]
-        try:
-            res = np.linalg.solve(stack, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ContourError(
-                f"resolvent solve singular on the contour around {lam:.6g} (radius {radius:.3g})"
-            ) from exc
-        sums += weights[:, start : start + _STACK] @ res.reshape(len(stack), rhs.size)
-    P, D = sums.reshape(2, *rhs.shape)
-    if conjugate:
-        P, D = P.real.astype(complex), D.real.astype(complex)
-    return P, D
+    PX, DX = _contour_sums(A, np.array([lam]), np.array([radius]), nodes, block, eigenvalues)
+    return PX[0], DX[0]
 
 
 def _usable_cores() -> int:
@@ -416,51 +390,127 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_contour(A, eigsys: Eigensystem, clusters, nodes, block, f) -> list:
-    """``[f(i, *riesz_projection(..., block=block)) for i in clusters]``, on
-    every usable core.
+def _contour_sums(A, centers, radii, nodes, block=None, eigenvalues=None):
+    """(P X, D X) of :func:`riesz_projection` on every circle
+    |z - centers[c]| = radii[c] with ``nodes`` nodes (or ``nodes[c]``), as two
+    (circles, *X.shape) arrays, bitwise those of one call per circle.
 
-    Cluster i's circle has radius ``eigsys.radii[i]`` and ``nodes`` nodes, or
-    ``nodes[i]`` for an array.  The calling thread and one more thread per
-    further usable core take the clusters one at a time; LAPACK and BLAS
-    release the interpreter lock, so they run at once.  ``f`` runs in the
-    thread that made P X and D X, so only what it keeps outlives them.  The
-    first failing cluster in list order raises, as in the serial loop.
+    The guard runs first, for every circle at once: the first circle in
+    order that comes too close to ``eigenvalues`` raises.  The kept nodes of
+    all circles are laid end to end, and the circles are cut into pieces of
+    whole circles whose shifted matrices z I - A take at most
+    ``_PIECE_BYTES``; a piece is one ``np.linalg.solve``, and a circle larger
+    than that is a piece of its own, solved in stacks of whole groups.
+    ``min(usable cores, pieces)`` workers, the calling thread among them,
+    take the pieces in order, one at a time (LAPACK and BLAS release the
+    interpreter lock), and build the shifted matrices in a stack of -A the
+    calling thread allocated for each.  A piece whose solve is singular is
+    solved again one circle at a time; the first singular circle in order
+    raises.
     """
-    out = [None] * len(clusters)
-    errors = {}
-    todo = iter(range(len(clusters)))
-    lock = threading.Lock()
-    nodes = np.broadcast_to(nodes, eigsys.n_clusters)
+    if np.any(np.asarray(nodes) < 1):
+        raise ValueError(f"contour quadrature needs at least 1 node, got {np.min(nodes)}")
+    mat = as_matrix(A)
+    n = mat.shape[0]
+    rhs = np.eye(n, dtype=complex) if block is None else np.asarray(block, dtype=complex)
+    if not len(centers):
+        return (np.empty((0, *rhs.shape), dtype=complex),) * 2
+    nodes = np.broadcast_to(nodes, centers.shape)
+    if eigenvalues is not None:
+        near, dist = _near_spectrum(eigenvalues, centers, radii)
+        for c in np.flatnonzero(near)[:1]:
+            raise ContourError(
+                f"contour around {centers[c]:.6g} (radius {radii[c]:.3g}) passes within "
+                f"{dist[c]:.3g} of the spectrum"
+            )
+    # the kept nodes of every circle, end to end, with their (2, nodes) weights
+    conjugate = np.isrealobj(mat) & (np.imag(centers) == 0)
+    kept = np.where(conjugate, (nodes + 1) // 2, nodes)
+    ends = np.cumsum(kept)
+    starts = ends - kept
+    circle = np.repeat(np.arange(len(centers)), kept)
+    k = np.arange(kept.sum()) - starts[circle]
+    per, lam, rad = nodes[circle], centers[circle], radii[circle]
+    phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / per))
+    zs = lam + rad * phase
+    w = rad * phase / per
+    w[conjugate[circle] & (k < per // 2)] *= 2.0  # the mirror node's conjugate term
+    weights = np.stack([w, w * (zs - lam)])  # the rows of P and of D
+    # pieces: [first, last) circles, and the nodes one solve takes: all of
+    # them, or for a circle larger than a piece a stack of whole groups
+    cap = max(1, _PIECE_BYTES // (16 * n * n))
+    pieces = []
+    for c in range(len(centers)):
+        if pieces and ends[c] - starts[pieces[-1][0]] <= cap:
+            pieces[-1][1] = c + 1
+        else:
+            pieces.append([c, c + 1])
+    sizes = [ends[b - 1] - starts[a] for a, b in pieces]
+    steps = [s if s <= cap else _STACK * max(1, cap // _STACK) for s in sizes]
+    workers = max(1, min(_usable_cores(), len(pieces)))
+    # each worker's stack of -A, whose diagonals each solve sets to z - a_ii
+    # (np.linalg.solve leaves its input as it is)
+    neg = np.negative(mat).astype(complex)
+    buffers = [np.broadcast_to(neg, (max(steps, default=0), n, n)).copy() for _ in range(workers)]
+    sums = np.zeros((len(centers), 2, rhs.size), dtype=complex)
+    failed = [None] * workers  # a worker's first (circle, exception)
+    diag = np.diagonal(neg)
 
-    def work():
+    def solve(buffer, lo, hi):
+        stack = buffer[: hi - lo]
+        stack.reshape(hi - lo, n * n)[:, :: n + 1] = diag + zs[lo:hi, None]
+        return np.linalg.solve(stack, rhs).reshape(hi - lo, rhs.size)
+
+    def singular(buffer, c, step):
+        try:
+            for lo in range(starts[c], ends[c], step):
+                solve(buffer, lo, min(lo + step, ends[c]))
+        except np.linalg.LinAlgError:
+            return True
+        return False
+
+    todo, lock = itertools.count(), threading.Lock()
+
+    def work(w):
         while True:
             with lock:
-                j = next(todo, None)
-            if j is None:
+                p = next(todo)
+            if p >= len(pieces):
                 return
-            i = clusters[j]
+            (first, last), step = pieces[p], steps[p]
             try:
-                P, D = riesz_projection(
-                    A, eigsys.eigenvalues[i], eigsys.radii[i], int(nodes[i]),
-                    eigenvalues=eigsys.raw_eigenvalues, block=block,
+                for lo in range(starts[first], ends[last - 1], step):
+                    hi = min(lo + step, ends[last - 1])
+                    res = solve(buffers[w], lo, hi)
+                    for c in range(first, last):
+                        for a in range(max(starts[c], lo), min(ends[c], hi), _STACK):
+                            b = min(a + _STACK, ends[c])
+                            sums[c] += weights[:, a:b] @ res[a - lo : b - lo]
+            except np.linalg.LinAlgError:
+                c = next((c for c in range(first, last) if singular(buffers[w], c, step)), first)
+                failed[w] = c, ContourError(
+                    f"resolvent solve singular on the contour around {centers[c]:.6g} "
+                    f"(radius {radii[c]:.3g})"
                 )
-                out[j] = f(i, P, D)
+                return
             except Exception as exc:  # raised below, in the caller's thread
-                errors[j] = exc
+                failed[w] = first, exc
+                return
 
-    threads = min(_usable_cores(), len(clusters))
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for t in helpers:
         t.start()
     try:
-        work()
+        work(0)
     finally:
         for t in helpers:
             t.join()
+    errors = [f for f in failed if f is not None]
     if errors:
-        raise errors[min(errors)]
-    return out
+        raise min(errors, key=lambda f: f[0])[1]
+    sums = sums.reshape(len(centers), 2, *rhs.shape)
+    sums.imag[conjugate] = 0.0
+    return sums[:, 0], sums[:, 1]
 
 
 def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -476,7 +526,8 @@ def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODE
     A cluster that is one eigenvalue with condition number at most
     ``KAPPA_MAX`` gets multiplicity 1 and the factors of P = v u^T and
     D = r u^T from the stored eigenvectors, all such clusters at once.
-    Every other cluster gets :func:`riesz_projection` with ``nodes`` nodes,
+    Every other cluster gets the quadrature of :func:`riesz_projection` with
+    ``nodes`` nodes, all such clusters in one :func:`_contour_sums` call,
     and its multiplicity is the numerical rank of P_n (robust under
     clustering decisions), not the eigensolver count.  ``nodes`` is checked
     up front, also when no cluster needs the contour.  It also records the
@@ -484,8 +535,6 @@ def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODE
     without eigenvectors), the :func:`verify_identities` report and the
     defects; a rank-one D = r u^T has ||D||_2 = ||r|| ||u||.
     """
-    if nodes < 1:
-        raise ValueError(f"contour quadrature needs at least 1 node, got {nodes}")
     mat = as_matrix(A)
     simple = eigsys.condition <= KAPPA_MAX
     lam = eigsys.eigenvalues
@@ -495,17 +544,17 @@ def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODE
     U = U / np.sum(U * V, axis=0)
     R = mat @ V - V * lam[simple]
 
-    def contour(i, P, D):
-        return P, D, max(_numerical_rank(P), 1), np.linalg.norm(D, 2)
-
-    built = _map_contour(A, eigsys, np.flatnonzero(~simple), nodes, np.eye(len(mat)), contour)
+    contour = np.flatnonzero(~simple)
+    P, D = _contour_sums(
+        A, lam[contour], eigsys.radii[contour], nodes, eigenvalues=eigsys.raw_eigenvalues
+    )
     ranks, defect = np.ones(len(lam), dtype=int), np.empty(len(lam))
     defect[simple] = np.linalg.norm(R, axis=0) * np.linalg.norm(U, axis=0)
-    for i, (_, _, rank, norm) in zip(np.flatnonzero(~simple), built):
-        ranks[i], defect[i] = rank, norm
+    for i, Pi, Di in zip(contour, P, D):
+        ranks[i], defect[i] = max(_numerical_rank(Pi), 1), np.linalg.norm(Di, 2)
     rd = RieszData(
         eigenvalues=lam.copy(), radii=eigsys.radii.copy(), simple=simple, V=V, U=U, R=R,
-        contour=[(P, D) for P, D, _, _ in built], multiplicities=ranks,
+        contour=list(zip(P, D)), multiplicities=ranks,
         condition=np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0),
         defect=defect / np.maximum(1.0, np.abs(lam)),
     )
@@ -640,10 +689,11 @@ def contour_difference(
 ) -> np.ndarray:
     """max|(P_contour - P_n) X| per cluster of ``rd = compute_riesz_data(A, eigsys, nodes)``.
 
-    Recomputes by :func:`riesz_projection` the projections that were built
-    from eigenvectors, so the two constructions check each other.  Clusters
-    already built by the contour read 0 and are not recomputed, so the
-    quadrature runs exactly once per cluster over both calls.
+    Recomputes the projections that were built from eigenvectors by the
+    quadrature of :func:`riesz_projection`, all of them in one
+    :func:`_contour_sums` call, so the two constructions check each other.
+    Clusters already built by the contour read 0 and are not recomputed, so
+    the quadrature runs exactly once per cluster over both calls.
 
     Both constructions are applied to the same X of :func:`_probes`:
     ``_PROBES`` fixed Gaussian columns of unit 2-norm, so each node costs
@@ -668,17 +718,18 @@ def contour_difference(
     """
     diff = np.zeros(eigsys.n_clusters)
     clusters = np.flatnonzero(rd.simple)
-    j = np.cumsum(rd.simple) - 1  # the column of V and U; P X is built in the worker
     small = eigsys.radii / _CHECK_SHRINK
     circles = np.stack([eigsys.radii, small])
     fits = ~_near_spectrum(eigsys.raw_eigenvalues, eigsys.eigenvalues, circles)[0].any(axis=0)
     few = math.ceil(nodes / math.log2(2 * _CHECK_SHRINK))
     X = _probes(len(rd.V))
-    diff[clusters] = _map_contour(
-        A, replace(eigsys, radii=np.where(fits, small, eigsys.radii)), clusters,
-        np.where(fits, few, nodes), X,
-        lambda i, PX, DX: _maxabs(PX - rd.V[:, j[i], None] * (rd.U[:, j[i]] @ X)),
+    PX, _ = _contour_sums(
+        A, eigsys.eigenvalues[clusters], np.where(fits, small, eigsys.radii)[clusters],
+        np.where(fits, few, nodes)[clusters], X, eigsys.raw_eigenvalues,
     )
+    # u.X one cluster at a time: one (clusters, N) @ (N, 4) product rounds otherwise
+    UX = np.array([u @ X for u in rd.U.T]).reshape(-1, X.shape[1])
+    diff[clusters] = np.abs(PX - rd.V.T[:, :, None] * UX[:, None]).max(axis=(1, 2), initial=0.0)
     return diff
 
 

@@ -10,6 +10,8 @@ Runs, each in a fresh interpreter with the program from this checkout's
 * ``spectrum`` and ``observability`` on ``bench/riesz2d.ini`` with
   ``interior = 10 9`` (N = 90), above the benchmark's sizes;
 * ``simulate --route all`` on ``configs/demo.ini``;
+* ``spectrum`` on ``configs/demo.ini`` with ``b1 = 30``, where every
+  cluster is ill-conditioned and so built by contour quadrature;
 * ``observability`` and ``invert`` with ``--route resolvent`` and with
   ``--route timestep`` on ``configs/demo.ini`` with the observation overrides
   of the benchmark's ``routes-1d`` workload.
@@ -44,6 +46,8 @@ COMMANDS = ("simulate", "spectrum", "observability", "invert")
 ROUTES_1D = {"times": "uniform:8", "horizon": "0.5", "timestep_K": "512"}
 # [problem] override of the riesz-2d workload for a 10 x 9 mesh
 RIESZ2D_90 = {"interior": "10 9"}
+# [problem] override of configs/demo.ini that puts every cluster on the contour
+DEMO_B1_30 = {"b1": "30"}
 
 
 def runs() -> list:
@@ -52,6 +56,7 @@ def runs() -> list:
     out += [(f"riesz2d-{c}", "riesz2d.ini", [c]) for c in COMMANDS]
     out += [(f"riesz2d90-{c}", "riesz2d-90.ini", [c]) for c in ("spectrum", "observability")]
     out.append(("demo-simulate-all", "demo.ini", ["simulate", "--route", "all"]))
+    out.append(("demo30-spectrum", "demo-b1-30.ini", ["spectrum"]))
     out += [
         (f"routes1d-{c}-{route}", "routes-1d.ini", [c, "--route", route])
         for route in ("resolvent", "timestep")
@@ -66,6 +71,7 @@ def write_configs(outdir: Path) -> None:
     for name, base, section, overrides in (
         ("routes-1d.ini", ROOT / "configs" / "demo.ini", "observation", ROUTES_1D),
         ("riesz2d-90.ini", ROOT / "bench" / "riesz2d.ini", "problem", RIESZ2D_90),
+        ("demo-b1-30.ini", ROOT / "configs" / "demo.ini", "problem", DEMO_B1_30),
     ):
         parser = configparser.ConfigParser()
         parser.read(base, encoding="utf-8")

@@ -161,13 +161,13 @@ class TestSpectrum:
 
     def test_contour_runs_once_per_cluster_and_agrees(self, tmp_path, monkeypatch):
         calls = []
-        original = fracwave.spectral.riesz_projection
+        original = fracwave.spectral._contour_sums
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.extend(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fracwave.spectral, "riesz_projection", counted)
+        monkeypatch.setattr(fracwave.spectral, "_contour_sums", counted)
         out = tmp_path / "out"
         assert main(["spectrum", "--config", str(CHECKED_IN["demo"]), "--out", str(out)]) == 0
         with open(out / "spectrum.csv", newline="") as fh:
@@ -409,6 +409,26 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error: [solver] times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "times, route",
+        [("0.5 0.5", "all"), ("0.1234561 0.1234562", "resolvent")],
+        ids=["repeated", "equal-to-6-digits"],
+    )
+    def test_times_sharing_a_slice_file(self, tmp_path, capsys, monkeypatch, times, route):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a route ran before the slice names were checked")
+
+        monkeypatch.setattr(fracwave.cli, "solve", no_solve)
+        cfg = write(tmp_path, self.BASE + f"\n[solver]\ntimes = {times}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--route", route]) == 1
+        first, second = times.split()
+        assert (
+            f"config error: [solver] times: {first} and {second} share the slice file name"
+            in capsys.readouterr().err
+        )
+        assert not list(out.glob("u_*.csv"))
+
     def test_2d_without_omega_simulates(self, tmp_path):
         # omega has no 2D default, but only the observation map needs it
         cfg = write(tmp_path, self.BASE + "dimension = 2\n\n[solver]\nroutes = timestep\n")
@@ -424,10 +444,14 @@ class TestConfigErrors:
 @pytest.mark.parametrize("config", sorted(CHECKED_IN))
 def test_checked_in_configs_need_no_contour(tmp_path, monkeypatch, command, config):
     # every cluster of these operators is simple and well conditioned
-    def no_contour(*args, **kwargs):
-        raise AssertionError("contour quadrature ran")
+    original = fracwave.spectral._contour_sums
 
-    monkeypatch.setattr(fracwave.spectral, "riesz_projection", no_contour)
+    def no_contour(A, centers, *args, **kwargs):
+        if len(centers):
+            raise AssertionError("contour quadrature ran")
+        return original(A, centers, *args, **kwargs)
+
+    monkeypatch.setattr(fracwave.spectral, "_contour_sums", no_contour)
     argv = [command, "--config", str(CHECKED_IN[config]), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
 

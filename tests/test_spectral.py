@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import sys
+import threading
 import tracemalloc
 import unittest.mock
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.csgraph
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracwave import spectral
@@ -227,14 +228,14 @@ class TestRieszProjection:
         (np.diag([1.0, 2.0]), 1.0 + 0.1j, 64),
         (np.diag([1.0, 2.0]).astype(complex), 1.0, 64),
     ])
-    def test_inverse_stacks_of_at_most_8(self, monkeypatch, A, lam, solved):
+    def test_solves_within_the_piece_budget(self, monkeypatch, A, lam, solved):
         # the default block is I: each stack is solved against the identity
         stacks = []
         original = np.linalg.solve
 
         def counted(a, b):
             assert np.array_equal(b, np.eye(2))
-            stacks.append(a.shape)
+            stacks.append((a.shape, a.nbytes))
             return original(a, b)
 
         def forbidden(*args, **kwargs):
@@ -245,9 +246,9 @@ class TestRieszProjection:
         monkeypatch.setattr(scipy.linalg, "solve", forbidden)
         riesz_projection(A, lam, 0.4, 64)
         assert spectral._STACK == 8
-        assert all(shape[1:] == (2, 2) for shape in stacks)
-        sizes = [shape[0] for shape in stacks]
-        assert max(sizes) <= 8 and sum(sizes) == solved
+        assert all(shape[1:] == (2, 2) for shape, _ in stacks)
+        assert all(nbytes <= spectral._PIECE_BYTES for _, nbytes in stacks)
+        assert sum(shape[0] for shape, _ in stacks) == solved
 
 
 def reference_contour(A, lam, radius, nodes):
@@ -289,11 +290,13 @@ def contour_problems(draw):
     return A, lam, radius, nodes
 
 
-def inverse_contour(A, lam, radius, nodes):
+def inverse_contour(A, lam, radius, nodes, block=None):
     """The quadrature of riesz_projection with each node's resolvent by its
-    own np.linalg.inv, summed in the same stacks of 8."""
+    own np.linalg.inv (or its own solve against ``block``), summed in the
+    same groups of 8."""
     mat = np.asarray(A)
     n = mat.shape[0]
+    size = n * n if block is None else block.size
     conjugate = np.isrealobj(mat) and np.imag(lam) == 0
     k = np.arange((nodes + 1) // 2 if conjugate else nodes)
     phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
@@ -302,15 +305,18 @@ def inverse_contour(A, lam, radius, nodes):
     if conjugate:
         w[: nodes // 2] *= 2.0
     weights = np.stack([w, w * (zs - lam)])
-    sums = np.zeros((2, n * n), dtype=complex)
+    sums = np.zeros((2, size), dtype=complex)
     for start in range(0, len(k), 8):
         res = []
         for z in zs[start : start + 8]:
             shifted = np.negative(mat).astype(complex)
             shifted[np.diag_indices(n)] += z
-            res.append(np.linalg.inv(shifted))
-        sums += weights[:, start : start + 8] @ np.reshape(res, (len(res), n * n))
-    P, D = sums.reshape(2, n, n)
+            if block is None:
+                res.append(np.linalg.inv(shifted))
+            else:
+                res.append(np.linalg.solve(shifted, block.astype(complex)))
+        sums += weights[:, start : start + 8] @ np.reshape(res, (len(res), size))
+    P, D = sums.reshape(2, n, size // n)
     if conjugate:
         P, D = P.real.astype(complex), D.real.astype(complex)
     return P, D
@@ -419,13 +425,13 @@ class TestTwoConstructions:
         op = assemble(mesh, CoefficientField.from_callables(mesh))
         es = eigendecompose(op)
         calls = []
-        original = spectral.riesz_projection
+        original = spectral._contour_sums
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.extend(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "riesz_projection", counted)
+        monkeypatch.setattr(spectral, "_contour_sums", counted)
         rd = compute_riesz_data(op, es)
         monkeypatch.undo()
         multi = np.flatnonzero(es.multiplicities > 1)
@@ -487,21 +493,16 @@ class TestContourThreads:
         rd = compute_riesz_data(advection_operator, es)
         monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
         serial = spectral.contour_difference(advection_operator, es, rd)
-        calls = []
-        original = spectral.riesz_projection
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "riesz_projection", counted)
-        monkeypatch.setattr(spectral, "_usable_cores", lambda: 8)  # more threads than cores
+        # more threads than cores, each piece one circle
+        monkeypatch.setattr(spectral, "_PIECE_BYTES", 8 * 16 * len(rd.V) ** 2)
+        calls = record_circles(monkeypatch, cores=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = spectral.contour_difference(advection_operator, es, rd)
         finally:
             sys.setswitchinterval(interval)
+        calls = [c[0] for c in calls if c[3] == 8]  # every node of the circle solved once
         assert sorted(calls, key=lambda z: (z.real, z.imag)) == list(es.eigenvalues)
         assert np.array_equal(threaded, serial)
 
@@ -525,22 +526,31 @@ class TestContourThreads:
         assert str(threaded.value) == str(serial.value)
 
 
-def record_circles(monkeypatch):
-    """Log (center, radius, nodes, solved nodes) of every riesz_projection
-    call, on one core so the log is in cluster order."""
-    calls = []
-    riesz, solve = spectral.riesz_projection, np.linalg.solve
+def record_circles(monkeypatch, cores=1):
+    """Log [center, radius, nodes, solved nodes] of every circle that
+    _contour_sums integrates on, in cluster order, with ``cores`` usable
+    cores.  A solved shifted matrix z I - A counts for the circle of the
+    call that z lies on."""
+    calls, circles, lock = [], [], threading.Lock()
+    sums, solve = spectral._contour_sums, np.linalg.solve
 
-    def counted(A, lam, radius, nodes, **kwargs):
-        calls.append([lam, radius, nodes, 0])
-        return riesz(A, lam, radius, nodes, **kwargs)
+    def counted(A, centers, radii, nodes, *args, **kwargs):
+        nodes = np.broadcast_to(nodes, np.shape(centers))
+        circles[:] = [[lam, r, int(k), 0] for lam, r, k in zip(centers, radii, nodes)]
+        circles.append(as_matrix(A)[0, 0])
+        calls.extend(circles[:-1])
+        return sums(A, centers, radii, nodes, *args, **kwargs)
 
     def solved(a, b):
-        calls[-1][3] += len(a)
+        *own, corner = circles
+        for z in a[:, 0, 0] + corner:
+            off = [abs(abs(z - lam) - r) / r for lam, r, _, _ in own]
+            with lock:
+                own[int(np.argmin(off))][3] += 1
         return solve(a, b)
 
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
-    monkeypatch.setattr(spectral, "riesz_projection", counted)
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(spectral, "_contour_sums", counted)
     monkeypatch.setattr(np.linalg, "solve", solved)
     return calls
 
@@ -579,6 +589,96 @@ def checked_operators(draw):
     mesh = Mesh((0.0, 0.0), (1.0, 0.7), (nx, draw(st.integers(2, 16 // nx))))
     coeffs = CoefficientField.from_callables(mesh, b1=b1, b2=draw(st.floats(-5.0, 5.0)))
     return assemble(mesh, coeffs).matrix
+
+
+@st.composite
+def contour_batches(draw):
+    """(A, centers, radii, nodes): the clusters of a checked operator or of a
+    random real or complex matrix, each on its own circle or on one an eighth
+    as wide, with its own node count."""
+    if draw(st.booleans()):
+        A = draw(checked_operators())
+    else:
+        n = draw(st.integers(1, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        A = rng.standard_normal((n, n))
+        if draw(st.booleans()):
+            A = A + 1j * rng.standard_normal((n, n))
+    try:
+        es = eigendecompose(A)
+    except NumericsError:  # a cluster spread over its radius
+        assume(False)
+    count = es.n_clusters
+    small = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    nodes = draw(st.lists(st.sampled_from([1, 3, 8, 16, 64]), min_size=count, max_size=count))
+    return A, es.eigenvalues, np.where(small, es.radii / 8, es.radii), np.array(nodes)
+
+
+class TestContourSums:
+    """_contour_sums integrates every circle at once, bitwise one circle at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        problem=contour_batches(),
+        probes=st.booleans(),
+        cores=st.sampled_from([1, 4]),
+        matrices=st.sampled_from([1, 3, 8, 20, None]),
+    )
+    def test_equals_one_circle_at_a_time_bitwise(self, problem, probes, cores, matrices):
+        # pieces of 1 to 20 shifted matrices, or the default budget
+        A, centers, radii, nodes = problem
+        X = spectral._probes(len(A)) if probes else None
+        budget = spectral._PIECE_BYTES if matrices is None else matrices * 16 * len(A) ** 2
+        with unittest.mock.patch.object(spectral, "_usable_cores", lambda: cores), \
+                unittest.mock.patch.object(spectral, "_PIECE_BYTES", budget):
+            PX, DX = spectral._contour_sums(A, centers, radii, nodes, X)
+        assert PX.shape == DX.shape == (len(centers), len(A), len(A) if X is None else 4)
+        for c, lam in enumerate(centers):
+            P, D = inverse_contour(A, lam, radii[c], nodes[c], X)
+            assert np.array_equal(PX[c], P) and np.array_equal(DX[c], D)
+
+    @pytest.mark.parametrize("matrices", [None, 2])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_first_singular_circle_in_order_raises(self, monkeypatch, cores, matrices):
+        # the nodes at theta = pi/2 of the circles around 10 and 20 are
+        # eigenvalues; with pieces of one circle they can fail in different
+        # workers, in either order, and in one piece the re-solve finds them
+        centers = np.array([0.0, 10.0, 20.0, 30.0], dtype=complex)
+        poles = centers[1:3] + 1.0 * np.exp(1j * (2.0 * np.pi * 0.5 / 2))
+        A = np.diag([*poles, 50.0 + 0j])
+        with pytest.raises(ContourError) as serial:
+            riesz_projection(A, centers[1], 1.0, 2)
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+        if matrices:
+            monkeypatch.setattr(spectral, "_PIECE_BYTES", matrices * 16 * len(A) ** 2)
+        with pytest.raises(ContourError) as batched:
+            spectral._contour_sums(A, centers, np.ones(4), 2)
+        assert str(batched.value) == str(serial.value)
+        assert "around 10+0j (radius 1)" in str(batched.value)
+
+    def test_check_memory_is_the_pieces_and_its_output(self):
+        # the shifted matrices of the 10 x 9 mesh's 90 circles (8 nodes each)
+        # would take 93 MB at once; each worker's buffer holds one piece or
+        # one group of _STACK nodes of a larger circle, the rest is O(N^2):
+        # the (90, 2, 90, 4) sums, 1 MB
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 9))
+        op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+        es = eigendecompose(op)
+        rd = compute_riesz_data(op, es)
+        n = len(rd.V)
+        assert rd.simple.all() and n == 90
+        spectral.contour_difference(op, es, rd)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            spectral.contour_difference(op, es, rd)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        workers = min(spectral._usable_cores(), n)
+        buffer = max(spectral._PIECE_BYTES, spectral._STACK * 16 * n**2)
+        assert peak <= workers * buffer + 16 * 16 * n**2
 
 
 class TestSmallCircleCheck:
