@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import CoefficientField, Mesh, assemble, subdomain_indices
+from .config import ExperimentConfig, parse_config_text
 from .fraccalc import TimeGrid, TimeSeries, caputo_derivative, mittag_leffler, rl_integral
 from .observability import (
     ObservationMap,
@@ -54,7 +54,6 @@ __all__ = ["CriterionResult", "CRITERIA", "run_all", "reference_problem"]
 
 ALPHA = 1.5
 RECOVERY_SEED = 20240817
-OBSERVATION_TIMES = np.geomspace(1e-3, 1.0, 64)  # 64 sample times in (0, 1]
 
 
 @dataclass
@@ -71,18 +70,18 @@ class CriterionResult:
 class _Reference:
     """The shared desk-scale problem: 1D, N=32, unit diffusion, unit advection."""
 
+    config: ExperimentConfig
     operator: object
-    mesh: Mesh
     source: SourcePair
-    eigsys: object = None
-    riesz: object = None
+    riesz: object
     _observation: ObservationMap | None = field(default=None, repr=False)
 
     def observation_map(self) -> ObservationMap:
         """Quarter-domain spectral-route map shared by criteria 6 and 7, built on first use."""
         if self._observation is None:
-            omega = subdomain_indices(self.mesh, (0.0, 0.25))
-            setup = ObservationSetup(omega, OBSERVATION_TIMES, self.riesz)
+            cfg = self.config
+            omega = cfg.observation_omega(self.operator.mesh)
+            setup = ObservationSetup(omega, cfg.observation_times(), self.riesz)
             self._observation = build_observation_map(self.operator, ALPHA, setup)
         return self._observation
 
@@ -91,16 +90,15 @@ _REF: _Reference | None = None
 
 
 def reference_problem() -> _Reference:
+    """The experiment of ``configs/demo.ini``, which the config defaults
+    describe apart from the advection and the source pair."""
     global _REF
     if _REF is None:
-        mesh = Mesh((0.0,), (1.0,), (32,))
-        coeffs = CoefficientField.from_callables(mesh, a11=1.0, b1=1.0, c=0.0)
-        op = assemble(mesh, coeffs)
-        x = mesh.axis_nodes(0)
-        source = SourcePair(np.sin(np.pi * x), x * (1.0 - x))
-        eigsys = eigendecompose(op)
-        riesz = compute_riesz_data(op, eigsys)
-        _REF = _Reference(op, mesh, source, eigsys, riesz)
+        cfg = parse_config_text("[problem]\nb1 = 1\na = sin(pi*x)\nb = x*(1 - x)\n")
+        op = cfg.build_operator()
+        eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
+        riesz = compute_riesz_data(op, eigsys, cfg.spectral.contour_nodes)
+        _REF = _Reference(cfg, op, cfg.build_source(op.mesh), riesz)
     return _REF
 
 
@@ -179,7 +177,7 @@ def criterion_4_spectral_identities() -> CriterionResult:
     lem = lemma3_check(J, 5.0, rdj.projections[0], rdj.nilpotents[0], np.array([0.0, 1.0]))
     # eigenvector projections of the reference operator against the contour,
     # both applied to the cross-check's four unit probes
-    contour = float(contour_difference(ref.operator, ref.eigsys, ref.riesz).max())
+    contour = float(contour_difference(ref.operator, ref.riesz).max())
     ok = worst <= tol and lem.residual <= tol and lem.k0 == 2 and contour <= tol
     return CriterionResult(
         4,

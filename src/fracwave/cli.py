@@ -84,8 +84,9 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _riesz_data(op, cfg: ExperimentConfig, eigsys):
-    """Riesz data of the operator's eigensystem under the [spectral] settings."""
+def _riesz_data(op, cfg: ExperimentConfig):
+    """Riesz data of the operator under the [spectral] settings."""
+    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
     return _checked(
         "[spectral] contour_nodes", compute_riesz_data, op, eigsys, cfg.spectral.contour_nodes
     )
@@ -94,7 +95,7 @@ def _riesz_data(op, cfg: ExperimentConfig, eigsys):
 def _route_method(cfg: ExperimentConfig, op, route: str, grid: tuple, grid_fields: str):
     """The object that selects ``route`` in :func:`solve`; Riesz data only for spectral."""
     if route == "spectral":
-        return _riesz_data(op, cfg, eigendecompose(op, cfg.spectral.cluster_tol))
+        return _riesz_data(op, cfg)
     if route == "resolvent":
         return _checked("[solver] talbot_nodes", LaplaceContour, cfg.solver.talbot_nodes)
     return _checked(grid_fields, TimeGrid, *grid)
@@ -140,11 +141,9 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, outdir: str) -> int:
     op = cfg.build_operator()
-    eigsys = eigendecompose(op, cfg.spectral.cluster_tol)
-    riesz = _riesz_data(op, cfg, eigsys)
-    diff = contour_difference(op, eigsys, riesz, cfg.spectral.contour_nodes)
+    riesz = _riesz_data(op, cfg)
     path = os.path.join(outdir, "spectrum.csv")
-    write_spectrum_csv(riesz, riesz.identities, path, diff)
+    write_spectrum_csv(riesz, path, contour_difference(op, riesz))
     _write_manifest(outdir, "spectrum", cfg, [path])
     riesz.check()  # after spectrum.csv, which is the diagnosis
     return EXIT_OK

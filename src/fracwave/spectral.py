@@ -14,7 +14,8 @@ kept as the three vectors, and each identity residual is an O(N) scalar (the
 nilpotent form holds by construction; :func:`verify_identities`).  Clusters
 with several members (Jordan blocks, repeated eigenvalues) and
 ill-conditioned simple eigenvalues get dense P_n and D_n by trapezoid
-quadrature of the resolvent on a circle.  The quadrature is also the
+quadrature of the resolvent on a circle, kept as two (clusters, N, N)
+stacks in cluster order.  The quadrature is also the
 cross-check of the eigenvector projections (:func:`contour_difference`), on
 a circle an eighth as wide with a quarter of the nodes: the nearest other
 eigenvalue is then at least 16 radii away, so the trapezoid error bound stays
@@ -23,7 +24,7 @@ quadrature solves its nodes against a block X of right-hand sides and sums
 them in groups of ``_STACK``, one matrix product each, giving P X and D X:
 X = I builds the dense P_n and D_n, while the cross-check applies both
 constructions to ``_PROBES`` fixed unit vectors, one LU and a few
-back-solves per node in place of an inverse.  For a real matrix and a real
+back-solves per node in place of an inverse.  For a real matrix, block and
 center it keeps only the upper half of the circle, the lower half being its
 complex conjugate.  Both callers hand all their circles to one batched core
 (:func:`_contour_sums`), which solves them in pieces of whole circles on one
@@ -34,9 +35,11 @@ All spectral arithmetic is done in complex numbers even for real input: a
 non-symmetric real matrix generally has complex conjugate pairs, and the
 contour formulas are intrinsically complex.
 
-Whether the data can be trusted is decided once, where they are built:
-:meth:`RieszData.check` is the one reliability rule, which ``spectrum`` and
-the mode sum both apply.
+The Riesz data carry their identity report, raw eigenvalues and contour
+node count, so :func:`contour_difference` and :func:`write_spectrum_csv`
+take them alone.  Whether they can be trusted is decided once, where they
+are built: :meth:`RieszData.check` is the one reliability rule, which
+``spectrum`` and the mode sum both apply.
 """
 
 from __future__ import annotations
@@ -117,28 +120,22 @@ _ADVICE = "use the time-stepping route (--route timestep)"
 class Eigensystem:
     """Clustered spectrum: centers, contour radii, algebraic multiplicities.
 
-    :func:`eigendecompose` also keeps the unit right and left eigenvectors
-    (columns aligned with ``raw_eigenvalues``), each cluster's ``members``
-    (indices into ``raw_eigenvalues``) and its eigenvalue ``condition``
-    number ``||v|| ||w|| / |w^H v|``, which is inf for clusters with several
-    members.  Built without them, every condition reads inf, so
-    :func:`compute_riesz_data` uses the contour for every cluster and
-    :meth:`RieszData.check` refuses the single-eigenvalue ones.
+    Also the unit right and left eigenvectors (columns aligned with
+    ``raw_eigenvalues``), each cluster's ``members`` (indices into
+    ``raw_eigenvalues``) and its eigenvalue ``condition`` number
+    ``||v|| ||w|| / |w^H v|``, which is inf for clusters with several
+    members.  Built by :func:`eigendecompose`.
     """
 
     eigenvalues: np.ndarray  # cluster centers, complex
     radii: np.ndarray
     multiplicities: np.ndarray  # ints, sum equals matrix size
     raw_eigenvalues: np.ndarray = field(repr=False)  # unclustered, length N
-    cluster_tol: float = 0.0
-    right_vectors: np.ndarray | None = field(default=None, repr=False)
-    left_vectors: np.ndarray | None = field(default=None, repr=False)
-    members: list | None = field(default=None, repr=False)
-    condition: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.condition is None:
-            self.condition = np.full(len(self.eigenvalues), np.inf)
+    cluster_tol: float
+    right_vectors: np.ndarray = field(repr=False)
+    left_vectors: np.ndarray = field(repr=False)
+    members: list = field(repr=False)
+    condition: np.ndarray
 
     @property
     def n_clusters(self) -> int:
@@ -149,24 +146,29 @@ class Eigensystem:
 class RieszData:
     """Per-cluster projections P_n, nilpotents D_n and numerical ranks d_n.
 
-    Built by :func:`compute_riesz_data`.  The j-th cluster of the ``simple``
-    mask is P_n = v u^T, D_n = r u^T, with v, u, r the columns j of V, U, R
-    (u.v = 1, r = A v - lambda_n v): its ``res_nilpotent_form`` is 0 by
-    construction, and u.v - 1, (u.v) r - (u.r) v and (u.v) r carry the check.
-    The others keep dense (P_n, D_n) in ``contour``, in order; ``transposed``
-    marks the data of A^T.  It also keeps what :meth:`check` decides from:
-    the eigenvalue ``condition`` numbers (0 for clusters of several
-    eigenvalues), the ``identities`` report and the relative ``defect``
-    ||D_n||_2 / max(1, |lambda_n|) of each cluster.
+    Built by :func:`compute_riesz_data`, with the eigensystem's
+    ``raw_eigenvalues`` and the contour ``nodes``.  The j-th cluster of the
+    ``simple`` mask is P_n = v u^T, D_n = r u^T, with v, u, r the columns j
+    of V, U, R (u.v = 1, r = A v - lambda_n v): its ``res_nilpotent_form`` is
+    0 by construction, and u.v - 1, (u.v) r - (u.r) v and (u.v) r carry the
+    check.  The others keep their dense P_n and D_n in order, as the
+    (clusters, N, N) stacks ``P`` and ``D`` of :func:`_contour_sums`;
+    ``transposed`` marks the data of A^T.  It also keeps what :meth:`check`
+    decides from: the eigenvalue ``condition`` numbers (0 for clusters of
+    several eigenvalues), the ``identities`` report and the relative
+    ``defect`` ||D_n||_2 / max(1, |lambda_n|) of each cluster.
     """
 
     eigenvalues: np.ndarray
     radii: np.ndarray
+    raw_eigenvalues: np.ndarray = field(repr=False)
+    nodes: int
     simple: np.ndarray
     V: np.ndarray = field(repr=False)
     U: np.ndarray = field(repr=False)
     R: np.ndarray = field(repr=False)
-    contour: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    P: np.ndarray = field(repr=False)
+    D: np.ndarray = field(repr=False)
     multiplicities: np.ndarray
     condition: np.ndarray
     defect: np.ndarray
@@ -178,12 +180,12 @@ class RieszData:
         return len(self.eigenvalues)
 
     # every P_n and every D_n as dense matrices, built on each access
-    projections = property(lambda self: self._dense(self.V, 0))
-    nilpotents = property(lambda self: self._dense(self.R, 1))
+    projections = property(lambda self: self._dense(self.V, self.P))
+    nilpotents = property(lambda self: self._dense(self.R, self.D))
 
-    def _dense(self, left: np.ndarray, k: int) -> list[np.ndarray]:
+    def _dense(self, left: np.ndarray, stack: np.ndarray) -> list[np.ndarray]:
         rank_one = (np.outer(a, u) for a, u in zip(left.T, self.U.T))
-        contour = (pair[k] for pair in self.contour)
+        contour = iter(stack)
         mats = [next(rank_one) if s else next(contour) for s in self.simple]
         return [M.T for M in mats] if self.transposed else mats
 
@@ -206,7 +208,7 @@ class RieszData:
             *((dots, vec) if self.transposed else (vec, dots)),
             out=out, where=self.simple[:, None, None],
         )
-        for i, (P, _) in zip(np.flatnonzero(~self.simple), self.contour):
+        for i, P in zip(np.flatnonzero(~self.simple), self.P):
             out[i] = (P.T if self.transposed else P) @ flat
         return out.reshape(self.n_clusters, *x.shape)
 
@@ -365,15 +367,14 @@ def riesz_projection(
 
         P = sum_k w_k R(z_k),   D = sum_k w_k (z_k - lam) R(z_k),
 
-    where R(z) = (z I - A)^{-1}.  For real A and real lam, R(conj z) =
-    conj R(z) and node k pairs with node nodes-1-k, so only the nodes with
-    theta_k in (0, pi] are solved: each pair counts twice and the real part
-    is kept (for odd ``nodes`` the single node at theta = pi counts once;
-    ``block`` must then be real).  Each kept node costs one LU and one
-    back-solve per column of X (for X = I bitwise the inverse), and the sums
-    add groups of ``_STACK`` nodes in node order, one product of the
-    (2, group) weights with the flattened solutions each.  P X and D X are
-    complex either way.  When ``eigenvalues`` is supplied, a circle too close
+    where R(z) = (z I - A)^{-1}.  For real A, real X and real lam,
+    R(conj z) X = conj(R(z) X) and node k pairs with node nodes-1-k, so only
+    the nodes with theta_k in (0, pi] are solved: each pair counts twice and
+    the real part is kept (for odd ``nodes`` the single node at theta = pi
+    counts once).  Each kept node costs one LU and one back-solve per column
+    of X (for X = I bitwise the inverse), and the sums add groups of
+    ``_STACK`` nodes in node order, one product of the (2, group) weights
+    with the flattened solutions each.  P X and D X are complex either way.  When ``eigenvalues`` is supplied, a circle too close
     to the spectrum raises :class:`ContourError` with the offending distance;
     a singular node raises it too.  This is the one-circle case of
     :func:`_contour_sums`, which :func:`compute_riesz_data` and
@@ -424,7 +425,7 @@ def _contour_sums(A, centers, radii, nodes, block=None, eigenvalues=None):
                 f"{dist[c]:.3g} of the spectrum"
             )
     # the kept nodes of every circle, end to end, with their (2, nodes) weights
-    conjugate = np.isrealobj(mat) & (np.imag(centers) == 0)
+    conjugate = (np.isrealobj(mat) and not np.iscomplexobj(block)) & (np.imag(centers) == 0)
     kept = np.where(conjugate, (nodes + 1) // 2, nodes)
     ends = np.cumsum(kept)
     starts = ends - kept
@@ -513,11 +514,10 @@ def _contour_sums(A, centers, radii, nodes, block=None, eigenvalues=None):
     return sums[:, 0], sums[:, 1]
 
 
-def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> int:
+def _numerical_rank(P: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Singular values above ``tol`` times the largest, of each matrix of a stack."""
     s = np.linalg.svd(P, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODES) -> RieszData:
@@ -531,30 +531,29 @@ def compute_riesz_data(A, eigsys: Eigensystem, nodes: int = DEFAULT_CONTOUR_NODE
     and its multiplicity is the numerical rank of P_n (robust under
     clustering decisions), not the eigensolver count.  ``nodes`` is checked
     up front, also when no cluster needs the contour.  It also records the
-    single-eigenvalue clusters' condition numbers (inf for an eigensystem
-    without eigenvectors), the :func:`verify_identities` report and the
-    defects; a rank-one D = r u^T has ||D||_2 = ||r|| ||u||.
+    single-eigenvalue clusters' condition numbers, the
+    :func:`verify_identities` report and the defects; a rank-one D = r u^T
+    has ||D||_2 = ||r|| ||u||.
     """
     mat = as_matrix(A)
     simple = eigsys.condition <= KAPPA_MAX
     lam = eigsys.eigenvalues
     k = [eigsys.members[i][0] for i in np.flatnonzero(simple)]
-    V = eigsys.right_vectors[:, k].astype(complex) if k else np.empty((len(mat), 0), complex)
-    U = eigsys.left_vectors[:, k].conj() if k else V
+    V = eigsys.right_vectors[:, k].astype(complex)
+    U = eigsys.left_vectors[:, k].conj()
     U = U / np.sum(U * V, axis=0)
     R = mat @ V - V * lam[simple]
 
     contour = np.flatnonzero(~simple)
-    P, D = _contour_sums(
-        A, lam[contour], eigsys.radii[contour], nodes, eigenvalues=eigsys.raw_eigenvalues
-    )
+    raw = eigsys.raw_eigenvalues
+    P, D = _contour_sums(A, lam[contour], eigsys.radii[contour], nodes, eigenvalues=raw)
     ranks, defect = np.ones(len(lam), dtype=int), np.empty(len(lam))
     defect[simple] = np.linalg.norm(R, axis=0) * np.linalg.norm(U, axis=0)
-    for i, Pi, Di in zip(contour, P, D):
-        ranks[i], defect[i] = max(_numerical_rank(Pi), 1), np.linalg.norm(Di, 2)
+    ranks[contour] = np.maximum(_numerical_rank(P), 1)
+    defect[contour] = np.linalg.norm(D, 2, axis=(1, 2))
     rd = RieszData(
-        eigenvalues=lam.copy(), radii=eigsys.radii.copy(), simple=simple, V=V, U=U, R=R,
-        contour=list(zip(P, D)), multiplicities=ranks,
+        eigenvalues=lam.copy(), radii=eigsys.radii.copy(), raw_eigenvalues=raw, nodes=nodes,
+        simple=simple, V=V, U=U, R=R, P=P, D=D, multiplicities=ranks,
         condition=np.where(eigsys.multiplicities == 1, eigsys.condition, 0.0),
         defect=defect / np.maximum(1.0, np.abs(lam)),
     )
@@ -622,7 +621,7 @@ def verify_identities(A, rd: RieszData, tol: float = IDENTITY_TOL) -> IdentityRe
     rows[rd.simple, 0] = np.abs(uv - 1.0) * np.abs(rd.V).max(axis=0) * u_max
     rows[rd.simple, 2] = np.abs(uv * rd.R - np.sum(rd.U * rd.R, axis=0) * rd.V).max(axis=0) * u_max
     rows[rd.simple, 3] = np.abs(uv) * np.abs(rd.R).max(axis=0) * u_max
-    for i, (P, D) in zip(np.flatnonzero(~rd.simple), rd.contour):
+    for i, P, D in zip(np.flatnonzero(~rd.simple), rd.P, rd.D):
         rows[i] = (
             _maxabs(P @ P - P),
             _maxabs(D - (as_matrix(A) - rd.eigenvalues[i] * np.eye(len(P))) @ P),
@@ -679,21 +678,20 @@ def lemma3_check(
 def completeness_defect(rd: RieszData) -> float:
     """Spectral norm of V U^T + sum of the contour P_n - I (exact: 0)."""
     acc = rd.V @ rd.U.T
-    for P, _ in rd.contour:
+    for P in rd.P:
         acc += P
     return float(np.linalg.norm(acc - np.eye(len(acc)), 2))
 
 
-def contour_difference(
-    A, eigsys: Eigensystem, rd: RieszData, nodes: int = DEFAULT_CONTOUR_NODES
-) -> np.ndarray:
-    """max|(P_contour - P_n) X| per cluster of ``rd = compute_riesz_data(A, eigsys, nodes)``.
+def contour_difference(A, rd: RieszData) -> np.ndarray:
+    """max|(P_contour - P_n) X| per cluster of the Riesz data ``rd`` of A.
 
     Recomputes the projections that were built from eigenvectors by the
     quadrature of :func:`riesz_projection`, all of them in one
     :func:`_contour_sums` call, so the two constructions check each other.
     Clusters already built by the contour read 0 and are not recomputed, so
-    the quadrature runs exactly once per cluster over both calls.
+    the quadrature runs exactly once per cluster over both calls.  Circles,
+    guard and node count are those ``rd`` was built with.
 
     Both constructions are applied to the same X of :func:`_probes`:
     ``_PROBES`` fixed Gaussian columns of unit 2-norm, so each node costs
@@ -716,16 +714,16 @@ def contour_difference(
     ``cluster_tol`` is below about 1.6e-7 ||A||, the full one (which then
     raises :class:`ContourError`) only for radii that are not half-gaps.
     """
-    diff = np.zeros(eigsys.n_clusters)
+    diff = np.zeros(rd.n_clusters)
     clusters = np.flatnonzero(rd.simple)
-    small = eigsys.radii / _CHECK_SHRINK
-    circles = np.stack([eigsys.radii, small])
-    fits = ~_near_spectrum(eigsys.raw_eigenvalues, eigsys.eigenvalues, circles)[0].any(axis=0)
-    few = math.ceil(nodes / math.log2(2 * _CHECK_SHRINK))
+    small = rd.radii / _CHECK_SHRINK
+    circles = np.stack([rd.radii, small])
+    fits = ~_near_spectrum(rd.raw_eigenvalues, rd.eigenvalues, circles)[0].any(axis=0)
+    few = math.ceil(rd.nodes / math.log2(2 * _CHECK_SHRINK))
     X = _probes(len(rd.V))
     PX, _ = _contour_sums(
-        A, eigsys.eigenvalues[clusters], np.where(fits, small, eigsys.radii)[clusters],
-        np.where(fits, few, nodes)[clusters], X, eigsys.raw_eigenvalues,
+        A, rd.eigenvalues[clusters], np.where(fits, small, rd.radii)[clusters],
+        np.where(fits, few, rd.nodes)[clusters], X, rd.raw_eigenvalues,
     )
     # u.X one cluster at a time: one (clusters, N) @ (N, 4) product rounds otherwise
     UX = np.array([u @ X for u in rd.U.T]).reshape(-1, X.shape[1])
@@ -740,11 +738,10 @@ def _probes(n: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=0)
 
 
-def write_spectrum_csv(
-    rd: RieszData, report: IdentityReport, path, contour_diff: np.ndarray
-) -> None:
-    """Spectrum report: one row per cluster with identity residuals and the
-    :func:`contour_difference` of its projection."""
+def write_spectrum_csv(rd: RieszData, path, contour_diff: np.ndarray) -> None:
+    """Spectrum report: one row per cluster with its ``rd.identities``
+    residuals and the :func:`contour_difference` of its projection."""
+    report = rd.identities
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         columns = ["re_lambda", "im_lambda", "multiplicity", "radius", *report.NAMES]

@@ -10,8 +10,10 @@ Runs, each in a fresh interpreter with the program from this checkout's
 * ``spectrum`` and ``observability`` on ``bench/riesz2d.ini`` with
   ``interior = 10 9`` (N = 90), above the benchmark's sizes;
 * ``simulate --route all`` on ``configs/demo.ini``;
-* ``spectrum`` on ``configs/demo.ini`` with ``b1 = 30``, where every
-  cluster is ill-conditioned and so built by contour quadrature;
+* ``simulate --route spectral``, ``spectrum``, ``observability`` and
+  ``invert`` on ``configs/demo.ini`` with ``b1 = 30``, where every cluster
+  is ill-conditioned and so built by contour quadrature: the mode sum and
+  the transposed map then run through the contour clusters;
 * ``observability`` and ``invert`` with ``--route resolvent`` and with
   ``--route timestep`` on ``configs/demo.ini`` with the observation overrides
   of the benchmark's ``routes-1d`` workload.
@@ -56,7 +58,8 @@ def runs() -> list:
     out += [(f"riesz2d-{c}", "riesz2d.ini", [c]) for c in COMMANDS]
     out += [(f"riesz2d90-{c}", "riesz2d-90.ini", [c]) for c in ("spectrum", "observability")]
     out.append(("demo-simulate-all", "demo.ini", ["simulate", "--route", "all"]))
-    out.append(("demo30-spectrum", "demo-b1-30.ini", ["spectrum"]))
+    out.append(("demo30-simulate", "demo-b1-30.ini", ["simulate", "--route", "spectral"]))
+    out += [(f"demo30-{c}", "demo-b1-30.ini", [c]) for c in COMMANDS[1:]]
     out += [
         (f"routes1d-{c}-{route}", "routes-1d.ini", [c, "--route", route])
         for route in ("resolvent", "timestep")

@@ -297,7 +297,7 @@ def inverse_contour(A, lam, radius, nodes, block=None):
     mat = np.asarray(A)
     n = mat.shape[0]
     size = n * n if block is None else block.size
-    conjugate = np.isrealobj(mat) and np.imag(lam) == 0
+    conjugate = np.isrealobj(mat) and not np.iscomplexobj(block) and np.imag(lam) == 0
     k = np.arange((nodes + 1) // 2 if conjugate else nodes)
     phase = np.exp(1j * (2.0 * np.pi * (k + 0.5) / nodes))
     zs = lam + radius * phase
@@ -347,16 +347,30 @@ class TestHalvedBatchedQuadrature:
         assert np.array_equal(P, P_inv) and np.array_equal(D, D_inv)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=contour_problems(), columns=st.integers(1, 4))
-    def test_block_is_applied_to_p_and_d(self, problem, columns):
+    @given(problem=contour_problems(), columns=st.integers(1, 4), complex_block=st.booleans())
+    def test_block_is_applied_to_p_and_d(self, problem, columns, complex_block):
         A, lam, radius, nodes = problem
-        X = np.random.default_rng(nodes).standard_normal((len(A), columns))
+        rng = np.random.default_rng(nodes)
+        X = rng.standard_normal((len(A), columns))
+        if complex_block:
+            X = X + 1j * rng.standard_normal((len(A), columns))
         PX, DX = riesz_projection(A, lam, radius, nodes, block=X)
         P, D = riesz_projection(A, lam, radius, nodes)
         assert PX.shape == DX.shape == X.shape
         scale = max(1.0, np.max(np.abs(P))) * np.abs(X).sum(axis=0).max()
         assert np.max(np.abs(PX - P @ X)) <= 1e-12 * scale
         assert np.max(np.abs(DX - D @ X)) <= 1e-12 * scale
+
+    def test_complex_block_on_a_real_matrix_and_center(self):
+        # the conjugate rule holds only for a real block: kept for this one,
+        # it put P X off by 0.85 against max|P @ X| = 1.31
+        A = np.diag([1.0, 2.0, 3.0])
+        A[0, 1] = 0.3
+        X = np.array([[1.0 + 1.0j], [0.5j], [2.0]])
+        PX, DX = riesz_projection(A, 1.0, 0.4, 16, block=X)
+        P, D = riesz_projection(A, 1.0, 0.4, 16)
+        assert np.max(np.abs(PX - P @ X)) <= 1e-12
+        assert np.max(np.abs(DX - D @ X)) <= 1e-12
 
 
 def contour_projection(A, es, i):
@@ -450,7 +464,7 @@ class TestTwoConstructions:
     def test_hand_built_eigensystem_uses_the_contour(self):
         A = np.diag([1.0, 2.0])
         es = eigendecompose(A, cluster_tol=1e-8)
-        bare = spectral.Eigensystem(es.eigenvalues, es.radii, es.multiplicities, es.raw_eigenvalues)
+        bare = dataclasses.replace(es, condition=np.full(es.n_clusters, np.inf))
         rd = compute_riesz_data(A, bare)
         for i, P in enumerate(rd.projections):
             assert np.array_equal(P, contour_projection(A, es, i))
@@ -458,11 +472,11 @@ class TestTwoConstructions:
     def test_contour_difference_only_recomputes_eigenvector_clusters(self, advection_operator):
         es = eigendecompose(advection_operator)
         rd = compute_riesz_data(advection_operator, es)
-        diff = spectral.contour_difference(advection_operator, es, rd)
+        diff = spectral.contour_difference(advection_operator, rd)
         assert diff.shape == (es.n_clusters,) and diff.max() < 1e-12
         J = jordan(2.0, 3)
         esj = eigendecompose(J, cluster_tol=1e-5)
-        assert spectral.contour_difference(J, esj, compute_riesz_data(J, esj)).tolist() == [0.0]
+        assert spectral.contour_difference(J, compute_riesz_data(J, esj)).tolist() == [0.0]
 
 
 class TestContourThreads:
@@ -479,7 +493,7 @@ class TestContourThreads:
         for cores in (1, 4):
             monkeypatch.setattr(spectral, "_usable_cores", lambda cores=cores: cores)
             rd = compute_riesz_data(op, es)
-            runs.append((rd, spectral.contour_difference(op, es, rd)))
+            runs.append((rd, spectral.contour_difference(op, rd)))
         (rd1, diff1), (rd4, diff4) = runs
         for name in ("projections", "nilpotents"):
             for X1, X4 in zip(getattr(rd1, name), getattr(rd4, name)):
@@ -492,14 +506,14 @@ class TestContourThreads:
         es = eigendecompose(advection_operator)
         rd = compute_riesz_data(advection_operator, es)
         monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
-        serial = spectral.contour_difference(advection_operator, es, rd)
+        serial = spectral.contour_difference(advection_operator, rd)
         # more threads than cores, each piece one circle
         monkeypatch.setattr(spectral, "_PIECE_BYTES", 8 * 16 * len(rd.V) ** 2)
         calls = record_circles(monkeypatch, cores=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = spectral.contour_difference(advection_operator, es, rd)
+            threaded = spectral.contour_difference(advection_operator, rd)
         finally:
             sys.setswitchinterval(interval)
         calls = [c[0] for c in calls if c[3] == 8]  # every node of the circle solved once
@@ -515,14 +529,15 @@ class TestContourThreads:
         with pytest.raises(ContourError) as serial:
             riesz_projection(A, raw[1], radii[1], 64, eigenvalues=raw)
         monkeypatch.setattr(spectral, "_usable_cores", lambda: 4)
-        bare = spectral.Eigensystem(raw, radii, np.ones(3, dtype=int), raw)
+        es = eigendecompose(A, cluster_tol=1e-8)
+        assert np.array_equal(es.eigenvalues, raw) and np.array_equal(es.raw_eigenvalues, raw)
+        bare = dataclasses.replace(es, radii=radii, condition=np.full(3, np.inf))  # all contour
         with pytest.raises(ContourError) as threaded:
             compute_riesz_data(A, bare)
         assert str(threaded.value) == str(serial.value)
-        tagged = dataclasses.replace(bare, condition=np.ones(3))  # all eigenvector clusters
-        rd = compute_riesz_data(A, eigendecompose(A, cluster_tol=1e-8))
+        rd = compute_riesz_data(A, es)  # all eigenvector clusters
         with pytest.raises(ContourError) as threaded:
-            spectral.contour_difference(A, tagged, rd)
+            spectral.contour_difference(A, dataclasses.replace(rd, radii=radii))
         assert str(threaded.value) == str(serial.value)
 
 
@@ -555,15 +570,15 @@ def record_circles(monkeypatch, cores=1):
     return calls
 
 
-def full_circle_difference(A, es, rd):
+def full_circle_difference(A, rd):
     """contour_difference on every cluster's own circle with the default
     nodes and the same probes, the reference the smaller circle stands in for."""
-    diff = np.zeros(es.n_clusters)
+    diff = np.zeros(rd.n_clusters)
     X = spectral._probes(len(A))
     for j, i in enumerate(np.flatnonzero(rd.simple)):
         PX, _ = riesz_projection(
-            A, es.eigenvalues[i], es.radii[i], DEFAULT_CONTOUR_NODES,
-            eigenvalues=es.raw_eigenvalues, block=X,
+            A, rd.eigenvalues[i], rd.radii[i], DEFAULT_CONTOUR_NODES,
+            eigenvalues=rd.raw_eigenvalues, block=X,
         )
         diff[i] = np.abs(PX - rd.V[:, j, None] * (rd.U[:, j] @ X)).max()
     return diff
@@ -667,12 +682,12 @@ class TestContourSums:
         rd = compute_riesz_data(op, es)
         n = len(rd.V)
         assert rd.simple.all() and n == 90
-        spectral.contour_difference(op, es, rd)
+        spectral.contour_difference(op, rd)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            spectral.contour_difference(op, es, rd)
+            spectral.contour_difference(op, rd)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -690,7 +705,7 @@ class TestSmallCircleCheck:
         rd = compute_riesz_data(advection_operator, es)
         assert rd.simple.all() and np.all(es.eigenvalues.imag == 0)
         calls = record_circles(monkeypatch)
-        spectral.contour_difference(advection_operator, es, rd)
+        spectral.contour_difference(advection_operator, rd)
         assert [c[0] for c in calls] == list(es.eigenvalues)
         assert [c[1] for c in calls] == list(es.radii / 8)
         assert [c[2:] for c in calls] == [[16, 8]] * es.n_clusters
@@ -702,7 +717,7 @@ class TestSmallCircleCheck:
         rd = compute_riesz_data(A, es)
         assert rd.simple.all()
         calls = record_circles(monkeypatch)
-        diff = spectral.contour_difference(A, es, rd)
+        diff = spectral.contour_difference(A, rd)
         solved = [16 if c[0].imag else 8 for c in calls]
         assert sorted(np.sign(c[0].imag) for c in calls) == [-1.0, 0.0, 1.0]
         assert [c[3] for c in calls] == solved and diff.max() <= 1e-12
@@ -714,7 +729,7 @@ class TestSmallCircleCheck:
         V = rd.V.copy()
         V[:, j] += 1e-9
         broken = dataclasses.replace(rd, V=V)
-        diff = spectral.contour_difference(advection_operator, es, broken)
+        diff = spectral.contour_difference(advection_operator, broken)
         assert diff[j] >= 0.5e-9 * np.abs(rd.U[:, j]).max()
         assert np.delete(diff, j).max() <= 1e-12
 
@@ -741,9 +756,9 @@ class TestSmallCircleCheck:
         except NumericsError:  # a cluster spread over its radius
             return
         rd = compute_riesz_data(A, es)
-        probe = spectral.contour_difference(A, es, rd)
+        probe = spectral.contour_difference(A, rd)
         with unittest.mock.patch.object(spectral, "_probes", np.eye):
-            entry = spectral.contour_difference(A, es, rd)
+            entry = spectral.contour_difference(A, rd)
         assert np.all(probe <= np.sqrt(len(A)) * entry + 4 * np.finfo(float).eps)
 
     @settings(max_examples=60, deadline=None)
@@ -778,9 +793,9 @@ class TestSmallCircleCheck:
     @staticmethod
     def assert_agrees_with_the_full_circle(A, es):
         rd = compute_riesz_data(A, es)
-        diff = spectral.contour_difference(A, es, rd)
+        diff = spectral.contour_difference(A, rd)
         assert diff.max() <= 1e-10
-        assert np.abs(diff - full_circle_difference(A, es, rd)).max() <= 1e-10
+        assert np.abs(diff - full_circle_difference(A, rd)).max() <= 1e-10
 
     def test_small_circle_too_close_keeps_the_full_circle(self, monkeypatch):
         # at cluster_tol = 0 the pair 4e-8 apart gets radii 2e-8, whose
@@ -795,12 +810,12 @@ class TestSmallCircleCheck:
                 A, es.eigenvalues[0], es.radii[0] / 8, 16, eigenvalues=es.raw_eigenvalues
             )
         calls = record_circles(monkeypatch)
-        diff = spectral.contour_difference(A, es, rd)
+        diff = spectral.contour_difference(A, rd)
         monkeypatch.undo()
         assert [c[1:3] for c in calls] == [
             [es.radii[0], 64], [es.radii[1], 64], [es.radii[2] / 8, 16]
         ]
-        assert np.array_equal(diff[:2], full_circle_difference(A, es, rd)[:2])
+        assert np.array_equal(diff[:2], full_circle_difference(A, rd)[:2])
         assert diff.max() <= 1e-9
 
 
@@ -913,13 +928,6 @@ class TestReliabilityRule:
         rd.check()
         with pytest.raises(DefectiveClusterError, match="relative size 0.2"):
             rd.check_diagonalizable()
-
-    def test_eigensystem_without_eigenvectors_is_refused(self):
-        A = np.diag([1.0, 2.0])
-        es = eigendecompose(A, cluster_tol=1e-8)
-        bare = spectral.Eigensystem(es.eigenvalues, es.radii, es.multiplicities, es.raw_eigenvalues)
-        with pytest.raises(NumericsError, match="condition number inf"):
-            compute_riesz_data(A, bare).check()
 
     def test_transpose_is_refused_as_the_original(self):
         # without advection the 4 x 4 square has both kinds of cluster
@@ -1052,7 +1060,7 @@ class TestFactoredStorage:
                 want[r.simple] = (r.V.T @ x)[:, None] * r.U.T[:, :, None]
             else:
                 want[r.simple] = r.V.T[:, :, None] * (r.U.T @ x)[:, None]
-            for i, (P, _) in zip(np.flatnonzero(~r.simple), r.contour):
+            for i, P in zip(np.flatnonzero(~r.simple), r.P):
                 want[i] = (P.T if r.transposed else P) @ x
             assert np.array_equal(r.apply(x), want)
 
@@ -1096,6 +1104,83 @@ class TestFactoredStorage:
         assert block < peak < 1.2 * block
 
 
+def parent_rank(P, tol=spectral.RANK_TOL):
+    """The numerical rank of one matrix, with its former branch for P = 0."""
+    s = np.linalg.svd(P, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def square_4x4():
+    mesh = Mesh((0.0, 0.0), (1.0, 1.0), (4, 4))
+    op = assemble(mesh, CoefficientField.from_callables(mesh))
+    return op, eigendecompose(op)
+
+
+def demo_b1_30():
+    mesh = Mesh((0.0,), (1.0,), (32,))
+    op = assemble(mesh, CoefficientField.from_callables(mesh, b1=30.0))
+    return op, eigendecompose(op)
+
+
+STACK_FIXTURES = {
+    "square-4x4": square_4x4,  # clusters of both kinds
+    "demo-b1-30": demo_b1_30,  # every cluster on the contour
+    "jordan-2": lambda: (jordan(5.0, 2), eigendecompose(jordan(5.0, 2), cluster_tol=1e-6)),
+    "jordan-3": lambda: (jordan(2.0, 3), eigendecompose(jordan(2.0, 3), cluster_tol=1e-6)),
+}
+
+
+class TestContourStacks:
+    """The contour clusters kept as the quadrature's (c, N, N) stacks, bitwise
+    the construction one cluster at a time."""
+
+    @pytest.mark.parametrize("fixture", STACK_FIXTURES)
+    def test_match_the_per_cluster_construction_bitwise(self, fixture):
+        A, es = STACK_FIXTURES[fixture]()
+        rd = compute_riesz_data(A, es)
+        mat = as_matrix(A)
+        n = len(mat)
+        contour = np.flatnonzero(~rd.simple)
+        assert len(contour) and rd.P.shape == rd.D.shape == (len(contour), n, n)
+        assert rd.nodes == DEFAULT_CONTOUR_NODES
+        assert np.array_equal(rd.raw_eigenvalues, es.raw_eigenvalues)
+        x = np.random.default_rng(3).standard_normal((n, 3))
+        applied = rd.apply(x), rd.transpose().apply(x)
+        acc = rd.V @ rd.U.T
+        for j, i in enumerate(contour):
+            lam = es.eigenvalues[i]
+            P, D = riesz_projection(
+                A, lam, es.radii[i], DEFAULT_CONTOUR_NODES, eigenvalues=es.raw_eigenvalues
+            )
+            assert np.array_equal(rd.P[j], P) and np.array_equal(rd.D[j], D)
+            rank = max(parent_rank(P), 1)
+            assert rd.multiplicities[i] == rank
+            assert rd.defect[i] == np.linalg.norm(D, 2) / np.maximum(1.0, np.abs(lam))
+            rows = [
+                P @ P - P,
+                D - (mat - lam * np.eye(n)) @ P,
+                D @ P - P @ D,
+                np.linalg.matrix_power(D, rank) @ P,
+            ]
+            got = [getattr(rd.identities, name)[i] for name in IdentityReport.NAMES]
+            assert got == [float(np.max(np.abs(M))) for M in rows]
+            assert np.array_equal(applied[0][i], P @ x)
+            assert np.array_equal(applied[1][i], P.T @ x)
+            acc += P
+        assert rd.identities.completeness == float(np.linalg.norm(acc - np.eye(n), 2))
+
+    def test_rank_of_a_stack_is_the_rank_of_each_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((6, 5, 3)) @ rng.standard_normal((6, 3, 5))
+        stack[2] = 0.0  # no singular value above tol * 0
+        stack[4, :, 1:] = 0.0
+        ranks = spectral._numerical_rank(stack)
+        assert ranks.tolist() == [parent_rank(P) for P in stack] == [3, 3, 0, 3, 1, 3]
+        assert spectral._numerical_rank(np.empty((0, 5, 5))).shape == (0,)
+
+
 class TestLemma3:
     def test_diagonalizable_cluster(self):
         A = np.diag([1.0, 2.0])
@@ -1123,9 +1208,8 @@ class TestLemma3:
 
 def test_spectrum_csv(tmp_path, advection_operator):
     rd = compute_riesz_data(advection_operator, eigendecompose(advection_operator))
-    rep = verify_identities(advection_operator, rd)
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(rd, rep, path, np.zeros(rd.n_clusters))
+    write_spectrum_csv(rd, path, np.zeros(rd.n_clusters))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == rd.n_clusters
