@@ -193,6 +193,7 @@ _ML_SERIES_RADIUS = 10.0  # safe for alpha >= 1 (cancellation ~ e^10 * eps ~ 2e-
 # contour by 3e-15 from |z| = 2 on: there it takes |z| > 2 wherever it accepts z
 _ML_SERIES_ALPHA, _ML_CONTOUR_FROM = 1.5, 2.0
 _ML_MAX_TERMS = 600
+_ML_SERIES_BLOCK = 16  # series terms summed per array pass
 _ML_POLE_GUARD = 1e-6  # radians; pole this close to the branch cut is rejected
 
 # Large arguments: trapezoid rule in u on the parabola s(u) = mu (1 + i u)^2
@@ -208,6 +209,9 @@ _ML_NODES = 42
 # has at most two poles, so one of the three always qualifies.
 _ML_PARABOLAS = (1.5, 1.0, 2.25)
 _ML_POLE_CLEARANCE = 0.1
+# real arguments per pass over the parabola's nodes: (nodes, betas, chunk)
+# temporaries of a few hundred kB
+_ML_REAL_CHUNK = 128
 
 
 def _ml_series_radius(alpha: float) -> float:
@@ -217,47 +221,97 @@ def _ml_series_radius(alpha: float) -> float:
     return max(0.5, 9.2**alpha)
 
 
-def _ml_series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Power series sum_k z^k / Gamma(alpha*k + beta), term by term.
+def _ml_series(alpha: float, betas, z: np.ndarray) -> np.ndarray:
+    """Power series sum_k z^k / Gamma(alpha*k + beta) for each beta, shape (betas, z).
 
     Each element stops once it is past its largest term (k >= |z|^(1/alpha))
-    and two successive terms fell below 1e-17 of its sum.
+    and two successive terms fell below 1e-17 of its sum.  A real ``z`` sums
+    the real terms |z|^k / Gamma(alpha*k + beta) signed by sign(z)^k.  The
+    terms come in blocks of ``_ML_SERIES_BLOCK`` k (an even number, so every
+    block starts at an odd k), added one k at a time in order.
     """
-    out = np.empty_like(z)
-    todo = np.arange(z.size)
-    logz = np.log(z)
+    real = not np.iscomplexobj(z)
+    logz = np.log(np.abs(z)) if real else np.log(z)
     hump = np.abs(z) ** (1.0 / alpha)
-    total = np.full(z.shape, complex(_rgamma(beta)))
-    small = np.zeros(z.shape, dtype=int)
-    for k in range(1, _ML_MAX_TERMS + 1):
-        x = alpha * k + beta
-        if x > 0.0:
-            term = np.exp(k * logz - _gammaln(x))
-        elif abs(x - round(x)) < 1e-12:
-            term = np.zeros_like(total)  # 1/Gamma at a non-positive integer
+    out = np.empty((len(betas), z.size), dtype=z.dtype)
+    for row, beta in zip(out, betas):
+        todo, lz, hp = np.arange(z.size), logz, hump
+        sign = np.where(z < 0.0, -1.0, 1.0) if real else None
+        total = np.full(z.size, _rgamma(beta), dtype=z.dtype)
+        small = np.zeros(z.size, dtype=bool)  # the previous term was small
+        for k0 in range(1, _ML_MAX_TERMS + 1, _ML_SERIES_BLOCK):
+            ks = np.arange(k0, min(k0 + _ML_SERIES_BLOCK, _ML_MAX_TERMS + 1))
+            xs = alpha * ks + beta
+            lg = np.array([_gammaln(x) if x > 0.0 else 0.0 for x in xs])
+            term = np.exp(ks[:, None] * lz - lg[:, None])  # (k, element)
+            for j in np.flatnonzero(xs <= 0.0):
+                if abs(xs[j] - round(xs[j])) < 1e-12:
+                    term[j] = 0.0  # 1/Gamma at a non-positive integer
+                else:
+                    term[j] = np.exp(ks[j] * lz) * _rgamma(xs[j])
+            if real:
+                term[::2] *= sign  # the odd k
+            sums = np.empty_like(term)
+            for j in range(len(ks)):
+                total = np.add(total, term[j], out=sums[j])
+            tiny = np.abs(term) <= 1e-17 * (1.0 + np.abs(sums))
+            done = tiny & np.concatenate([small[None], tiny[:-1]])
+            done &= ks[:, None] >= hp
+            fin = done.any(axis=0)
+            if fin.any():
+                row[todo[fin]] = sums[done[:, fin].argmax(axis=0), fin]
+                keep = ~fin
+                todo, lz, hp, tiny = todo[keep], lz[keep], hp[keep], tiny[:, keep]
+                total = total[keep]
+                if real:
+                    sign = sign[keep]
+                if not todo.size:
+                    break
+            small = tiny[-1]
         else:
-            term = np.exp(k * logz) * _rgamma(x)
-        total = total + term
-        small = np.where(np.abs(term) <= 1e-17 * (1.0 + np.abs(total)), small + 1, 0)
-        done = (small >= 2) & (k >= hump)
-        if done.any():
-            out[todo[done]] = total[done]
-            keep = ~done
-            todo, logz, hump, total, small = (
-                todo[keep], logz[keep], hump[keep], total[keep], small[keep]
+            raise MittagLefflerError(
+                f"series did not converge within {_ML_MAX_TERMS} terms for "
+                f"alpha={alpha}, beta={beta}, |z|={abs(z[todo[0]]):.3g}"
             )
-            if not todo.size:
-                return out
-    raise MittagLefflerError(
-        f"series did not converge within {_ML_MAX_TERMS} terms for "
-        f"alpha={alpha}, beta={beta}, |z|={abs(z[todo[0]]):.3g}"
-    )
+    return out
+
+
+def _ml_pole_terms(alpha: float, betas, sp: np.ndarray, mu: float) -> np.ndarray:
+    """Each pole's residue term R / (1 - e^(-d)) or -R e^d / (1 - e^d) (see
+    :func:`_ml_parabola`) for each beta: shape (betas, sp).
+
+    Each beta's products are taken on arrays shaped like ``sp``: numpy may
+    round a complex product differently when one operand is broadcast, which
+    would tie an element's value to the number of elements.
+    """
+    ex = np.exp(sp)
+    d = (2.0 * math.pi / _ML_STEP) * (np.sqrt(sp / mu) - 1.0)
+    right = d.real >= 0.0
+    e = np.exp(np.where(right, -d, d))  # |e| <= 1
+    terms = []
+    for beta in betas:
+        res = sp ** (1.0 - beta) * ex / alpha
+        terms.append(np.where(right, res / (1.0 - e), -res * e / (1.0 - e)))
+    return np.array(terms)
+
+
+def _tree_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding rows pairwise in a fixed order, so that
+    each element's sum does not depend on the other elements."""
+    while len(t) > 1:
+        h = len(t) // 2
+        s = t[:h] + t[h : 2 * h]
+        if len(t) % 2:
+            s[-1] += t[-1]
+        t = s
+    return t[0]
 
 
 def _ml_parabola(
-    alpha: float, beta: float, z: np.ndarray, poles: np.ndarray, inside: np.ndarray, mu: float
+    alpha: float, betas, z: np.ndarray, poles: np.ndarray, inside: np.ndarray, mu: float
 ) -> np.ndarray:
-    """Pole residues plus the contour integral on the parabola of level ``mu``.
+    """Pole residues plus the contour integral on the parabola of level ``mu``,
+    for each beta: shape (betas, z).
 
     E = sum of residues R = s*^(1-beta) e^(s*) / alpha at the poles right of
     the parabola, plus (1 / 2 pi i) times the integral of
@@ -267,31 +321,59 @@ def _ml_parabola(
     added for poles right of the parabola, every pole then contributes
     R / (1 - e^(-d)), d = 2 pi (sqrt(s*/mu) - 1) / h, which tends to R far
     right of the parabola and to 0 far left of it.
+
+    At a real z = x the nodes u and -u are conjugate, so the sum is node 0
+    plus twice the real parts of nodes 1..n, each
+    (Re c (Re p - x) + Im c Im p) / ((Re p - x)^2 + (Im p)^2).  Its poles are
+    row 1 of ``poles`` and, for x < 0, the conjugate in row 0 (rows 0 and 2
+    lie beyond the cut otherwise, as alpha <= 2), so row 1 counts twice there,
+    real part only.
     """
     w = 1.0 + 1j * _ML_STEP * np.arange(-_ML_NODES, _ML_NODES + 1)
     s = mu * w * w
-    weight = (_ML_STEP / (2j * math.pi)) * np.exp(s) * s ** (alpha - beta) * (2j * mu * w)
-    total = np.zeros_like(z)
-    for p, c in zip(s**alpha, weight):
-        total += c / (p - z)
-    for row, live in zip(poles, inside):
-        if not live.any():
-            continue
-        sp = row[live]
-        res = sp ** (1.0 - beta) * np.exp(sp) / alpha
-        d = (2.0 * math.pi / _ML_STEP) * (np.sqrt(sp / mu) - 1.0)
-        right = d.real >= 0.0
-        e = np.exp(np.where(right, -d, d))  # |e| <= 1
-        total[live] += np.where(right, res / (1.0 - e), -res * e / (1.0 - e))
+    weight = np.array(
+        [(_ML_STEP / (2j * math.pi)) * np.exp(s) * s ** (alpha - beta) * (2j * mu * w) for beta in betas]
+    )
+    p = s**alpha
+    real = z.imag == 0.0
+    total = np.empty((len(betas), z.size), dtype=complex)
+    if not real.all():
+        zc = z[~real]
+        part = np.zeros((len(betas), zc.size), dtype=complex)
+        for pj, c in zip(p, weight.T):
+            d = pj - zc  # one node difference for every beta
+            for row, cb in zip(part, c):  # unbroadcast, see _ml_pole_terms
+                row += cb / d
+        for row, live in zip(poles[:, ~real], inside[:, ~real]):
+            if live.any():
+                part[:, live] += _ml_pole_terms(alpha, betas, row[live], mu)
+        total[:, ~real] = part
+    if real.any():
+        x = z.real[real]
+        rp, ip = p.real[_ML_NODES:, None], p.imag[_ML_NODES:, None]  # nodes 0..n
+        pair = np.where(np.arange(_ML_NODES + 1) > 0, 2.0, 1.0)[:, None, None]
+        rc = pair * weight.real.T[_ML_NODES:, :, None]
+        icip = pair * weight.imag.T[_ML_NODES:, :, None] * ip[:, :, None]
+        part = np.empty((len(betas), x.size))
+        for lo in range(0, x.size, _ML_REAL_CHUNK):
+            a = rp - x[lo : lo + _ML_REAL_CHUNK]  # (nodes, chunk), for every beta
+            inv = 1.0 / (a * a + ip * ip)  # 0, not inf / inf, where a * a overflows
+            part[:, lo : lo + _ML_REAL_CHUNK] = _tree_sum(rc * (a * inv)[:, None] + icip * inv[:, None])
+        live = inside[1, real]
+        if live.any():
+            twice = np.where(x[live] < 0.0, 2.0, 1.0)
+            part[:, live] += twice * _ml_pole_terms(alpha, betas, poles[1, real][live], mu).real
+        total[:, real] = part
     return total
 
 
-def _ml_large(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for |z| beyond the series radius, 0 < alpha <= 2.
+def _ml_large(alpha: float, betas, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for each beta, |z| beyond the series radius, 0 < alpha <= 2.
 
     The inverse-Laplace representation of E_{alpha,beta} has poles at the
     principal-branch roots of s^alpha = z and a branch cut on the negative
-    axis; see :func:`_ml_parabola`.
+    axis; see :func:`_ml_parabola`.  The poles and the parabola an argument
+    takes do not depend on beta.
     """
     if alpha > 2.0:
         raise MittagLefflerError(
@@ -299,25 +381,31 @@ def _ml_large(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             f"large-argument path requires alpha <= 2, got alpha={alpha}"
         )
     theta = np.angle(z)
-    out = np.empty_like(z)
+    real = z.imag == 0.0
+    theta[real] = np.angle(z.real[real])  # 0 or pi, whatever the sign of the zero
+    out = np.empty((len(betas), z.size), dtype=complex)
     rest = np.ones(z.shape, dtype=bool)
     if alpha == 1.0:
         # the sole pole hugs the branch cut; the closed forms are exact there
         rest = np.abs(np.abs(theta) - math.pi) >= 0.1
         if not rest.all():
-            if beta not in (1.0, 2.0):
-                raise MittagLefflerError(
-                    f"alpha=1 with z near the negative real axis supported only for "
-                    f"beta in {{1, 2}}, got beta={beta}"
-                )
+            for beta in betas:
+                if beta not in (1.0, 2.0):
+                    raise MittagLefflerError(
+                        f"alpha=1 with z near the negative real axis supported only for "
+                        f"beta in {{1, 2}}, got beta={beta}"
+                    )
             zc = z[~rest]
-            out[~rest] = np.exp(zc) if beta == 1.0 else (np.exp(zc) - 1.0) / zc
+            for row, beta in zip(out, betas):
+                row[~rest] = np.exp(zc) if beta == 1.0 else (np.exp(zc) - 1.0) / zc
+            out[:, ~rest & real] = out[:, ~rest & real].real
     z, theta = z[rest], theta[rest]
-    if beta >= 1.0 + alpha and z.size:
-        raise MittagLefflerError(
-            f"large-argument evaluation supports beta < 1 + alpha, "
-            f"got alpha={alpha}, beta={beta}"
-        )
+    for beta in betas:
+        if beta >= 1.0 + alpha and z.size:
+            raise MittagLefflerError(
+                f"large-argument evaluation supports beta < 1 + alpha, "
+                f"got alpha={alpha}, beta={beta}"
+            )
     phi = (theta + 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])) / alpha
     on_cut = np.abs(np.abs(phi) - math.pi) < _ML_POLE_GUARD
     if on_cut.any():
@@ -333,16 +421,16 @@ def _ml_large(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         for mu in _ML_PARABOLAS
     ]
     choice = np.argmax(clear, axis=0)
-    part = np.empty_like(z)
+    part = np.empty((len(betas), z.size), dtype=complex)
     for i, mu in enumerate(_ML_PARABOLAS):
         sel = choice == i
         if sel.any():
-            part[sel] = _ml_parabola(alpha, beta, z[sel], poles[:, sel], inside[:, sel], mu)
-    out[rest] = part
+            part[:, sel] = _ml_parabola(alpha, betas, z[sel], poles[:, sel], inside[:, sel], mu)
+    out[:, rest] = part
     return out
 
 
-def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
+def mittag_leffler_kernel(alpha: float, beta, z) -> np.ndarray:
     """Two-parameter Mittag-Leffler function E_{alpha,beta} at every element of ``z``.
 
     Power series for |z| below a cancellation-safe radius (10 for
@@ -360,54 +448,90 @@ def mittag_leffler_kernel(alpha: float, beta: float, z) -> np.ndarray:
     the negative axis with beta other than 1 or 2) raise
     :class:`MittagLefflerError` if any element is in them, never NaN.
 
+    A sequence of betas is evaluated in one pass: the validation, the regime
+    masks, the poles, each argument's parabola and its node differences are
+    shared, and each row of the result is bitwise the call with that beta
+    alone.  An element with ``z.imag == 0`` takes a real-arithmetic path: real
+    series terms, and the parabola's conjugate nodes and poles summed in
+    pairs, so its value has imaginary part exactly 0 (whatever the sign of
+    the zero).  It differs from the complex path by rounding only: at most
+    1.9 eps max(1, |E(z)|, E(|z|)), with E(|z|), the sum of the series' term
+    moduli, counted up to |z| = 10, where the series cancels (measured on
+    90,000 arguments, alpha in [1, 2], beta in [0.5, 2.5], |z| <= 5e3).
+    Complex arguments take the complex path.
+
     Every element is computed on its own, so a result does not depend on the
-    other elements, and the temporaries are a few arrays the size of ``z``.
+    other elements.  The temporaries are a few arrays the size of ``z``,
+    sixteen series terms per element, and the parabola's nodes for at most
+    ``_ML_REAL_CHUNK`` real arguments at a time.
 
     Parameters
     ----------
     alpha : positive order; large arguments require 0 < alpha <= 2.
-    beta : real second parameter; large arguments require beta < 1 + alpha
-        except in the alpha = 1 closed forms.
+    beta : real second parameter, or a sequence of them; large arguments
+        require beta < 1 + alpha except in the alpha = 1 closed forms.
     z : complex argument(s), any shape.
 
     Returns
     -------
-    ndarray of complex, shaped like ``z``.
+    ndarray of complex, shaped like ``z`` for one beta and
+    ``(len(beta), *z.shape)`` for a sequence.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    if np.ndim(beta) > 1:
+        raise ValueError(f"beta must be a number or a sequence of numbers, got shape {np.shape(beta)}")
+    betas = [float(b) for b in np.atleast_1d(beta)]
+    for b in betas:
+        if not math.isfinite(b):
+            raise ValueError(f"beta must be finite, got {b}")
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
     flat = z.ravel()
-    out = np.empty_like(flat)
+    real = flat.imag == 0.0
     zero = flat == 0.0
-    series = ~zero & (np.abs(flat) <= _ml_series_radius(alpha))
-    if 1.0 <= alpha < _ML_SERIES_ALPHA and beta < 1.0 + alpha:
-        phi = (np.angle(flat) + 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])) / alpha
-        guard = 0.1 if alpha == 1.0 else _ML_POLE_GUARD
-        clear = np.abs(np.abs(phi) - math.pi).min(axis=0) >= guard
-        series &= ~(clear & (np.abs(flat) > _ML_CONTOUR_FROM))
-    if alpha == 1.0 and beta in (1.0, 2.0):
-        # the closed forms of _ml_large are exact near the negative axis,
-        # where the series cancels
-        near = np.abs(np.abs(np.angle(flat)) - math.pi) < 0.1
-        series &= ~(near & (np.abs(flat) > _ML_CONTOUR_FROM))
-    large = ~(zero | series)
-    out[zero] = _rgamma(beta)
-    if series.any():
-        out[series] = _ml_series(alpha, beta, flat[series])
-    if large.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[large] = _ml_large(alpha, beta, flat[large])
-        if not np.all(np.isfinite(out[large])):
-            raise MittagLefflerError(
-                f"E_{{alpha,beta}}(z) overflows double precision for "
-                f"alpha={alpha}, beta={beta}"
-            )
-    return out.reshape(z.shape)
+    within = ~zero & (np.abs(flat) <= _ml_series_radius(alpha))
+    far = np.abs(flat) > _ML_CONTOUR_FROM
+    # betas that share their series/contour split share one pass
+    groups = {}
+    for i, b in enumerate(betas):
+        key = (1.0 <= alpha < _ML_SERIES_ALPHA and b < 1.0 + alpha, alpha == 1.0 and b in (1.0, 2.0))
+        groups.setdefault(key, []).append(i)
+    out = np.empty((len(betas), flat.size), dtype=complex)
+    for (contour, closed), rows in groups.items():
+        bs = [betas[i] for i in rows]
+        series = within
+        if contour:
+            phi = (np.angle(flat) + 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])) / alpha
+            guard = 0.1 if alpha == 1.0 else _ML_POLE_GUARD
+            clear = np.abs(np.abs(phi) - math.pi).min(axis=0) >= guard
+            series = series & ~(clear & far)
+        if closed:
+            # the closed forms of _ml_large are exact near the negative axis,
+            # where the series cancels
+            near = np.abs(np.abs(np.angle(flat)) - math.pi) < 0.1
+            series = series & ~(near & far)
+        large = ~(zero | series)
+        part = np.empty((len(bs), flat.size), dtype=complex)
+        part[:, zero] = np.array([[_rgamma(b)] for b in bs])
+        if (series & real).any():
+            part[:, series & real] = _ml_series(alpha, bs, flat.real[series & real])
+        if (series & ~real).any():
+            part[:, series & ~real] = _ml_series(alpha, bs, flat[series & ~real])
+        if large.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                part[:, large] = _ml_large(alpha, bs, flat[large])
+            for b, values in zip(bs, part[:, large]):
+                if not np.all(np.isfinite(values)):
+                    raise MittagLefflerError(
+                        f"E_{{alpha,beta}}(z) overflows double precision for "
+                        f"alpha={alpha}, beta={b}"
+                    )
+        out[rows] = part
+    if np.ndim(beta) == 0:
+        return out[0].reshape(z.shape)
+    return out.reshape(len(betas), *z.shape)
 
 
 def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:

@@ -462,14 +462,15 @@ def solve_spectral_oracle(
     n = riesz.V.shape[0]
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
-    # one kernel call per beta over all (time, cluster) arguments, then sums
-    # over the clusters n of E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b,
-    # each P_n x formed first: for a unit source it is an exact selection
+    # one kernel call for both betas (beta 1 alone when b = 0) over all
+    # (time, cluster) arguments, then sums over the clusters n of
+    # E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b, each P_n x formed
+    # first: for a unit source it is an exact selection
     z = -np.outer(times**alpha, riesz.eigenvalues)
-    states_c = np.tensordot(mittag_leffler_kernel(alpha, 1.0, z), riesz.apply(source.a), axes=1)
-    if np.any(source.b):
-        te2 = times[:, None] * mittag_leffler_kernel(alpha, 2.0, z)
-        states_c += np.tensordot(te2, riesz.apply(source.b), axes=1)
+    e = mittag_leffler_kernel(alpha, (1.0, 2.0) if np.any(source.b) else (1.0,), z)
+    states_c = np.tensordot(e[0], riesz.apply(source.a), axes=1)
+    if len(e) > 1:
+        states_c += np.tensordot(times[:, None] * e[1], riesz.apply(source.b), axes=1)
     # largest |imaginary| and |real| parts, without |x| temporaries
     imag, real = states_c.imag, states_c.real
     imag_resid = float(max(imag.max(initial=0.0), -imag.min(initial=0.0)))

@@ -252,22 +252,20 @@ class RieszData:
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clustering of complex points at distance <= tol.
 
-    Union-find over the close pairs; the clusters are index arrays in
-    ascending order, listed by their smallest index.
+    Every point takes the smallest label within reach until no label
+    changes, so each cluster is labelled by its smallest index; the clusters
+    are index arrays in ascending order, listed by their smallest index.
     """
     close = np.abs(values[:, None] - values[None, :]) <= tol
-    root = list(range(len(values)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
-        root[find(i)] = find(j)
-    labels = np.array([find(i) for i in range(len(values))])
-    return [np.flatnonzero(labels == r) for r in dict.fromkeys(labels.tolist())]
+    n = len(values)
+    labels = np.arange(n)
+    while True:
+        reach = np.where(close, labels, n).min(axis=1)
+        if np.array_equal(reach, labels):
+            break
+        labels = reach
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
@@ -305,10 +303,13 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
     raw = raw.astype(complex)
     left = left / np.linalg.norm(left, axis=0)
     groups = _cluster(raw, cluster_tol)
-    centers = np.array([raw[g].mean() for g in groups])
     mults = np.array([len(g) for g in groups])
+    first = np.array([g[0] for g in groups])
+    centers = raw[first]  # a lone eigenvalue is its own mean
+    for i in np.flatnonzero(mults > 1):
+        centers[i] = raw[groups[i]].mean()
     order = np.lexsort((centers.imag, centers.real))
-    centers, mults = centers[order], mults[order]
+    centers, mults, first = centers[order], mults[order], first[order]
     groups = [groups[i] for i in order]
 
     if len(centers) == 1:
@@ -317,7 +318,8 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
         gaps = np.abs(centers[:, None] - centers[None, :])
         np.fill_diagonal(gaps, np.inf)
         radii = 0.5 * gaps.min(axis=1)
-    for g, lam, rad in zip(groups, centers, radii):
+    for i in np.flatnonzero(mults > 1):  # a lone eigenvalue has no spread
+        g, lam, rad = groups[i], centers[i], radii[i]
         spread = np.abs(raw[g] - lam).max()
         if spread > 0.5 * rad:
             raise NumericsError(
@@ -331,7 +333,7 @@ def eigendecompose(A, cluster_tol: float | None = None) -> Eigensystem:
             * np.linalg.norm(left, axis=0)
             / np.abs(np.sum(left.conj() * right, axis=0))
         )
-    condition = np.array([kappa[g[0]] if len(g) == 1 else np.inf for g in groups])
+    condition = np.where(mults == 1, kappa[first], np.inf)
     return Eigensystem(
         centers, radii, mults, raw, cluster_tol, right, left, groups, condition
     )

@@ -10,6 +10,9 @@ Runs, each in a fresh interpreter with the program from this checkout's
 * ``spectrum`` and ``observability`` on ``bench/riesz2d.ini`` with
   ``interior = 10 9`` (N = 90), above the benchmark's sizes;
 * ``simulate --route all`` on ``configs/demo.ini``;
+* ``simulate --route spectral`` on ``configs/demo.ini`` with ``alpha``
+  1.05 and 1.95, so the Mittag-Leffler kernel's regimes near alpha = 1
+  and 2 reach the outputs, not only alpha = 1.5;
 * ``simulate --route spectral``, ``spectrum``, ``observability`` and
   ``invert`` on ``configs/demo.ini`` with ``b1 = 30``, where every cluster
   is ill-conditioned and so built by contour quadrature: the mode sum and
@@ -50,6 +53,8 @@ ROUTES_1D = {"times": "uniform:8", "horizon": "0.5", "timestep_K": "512"}
 RIESZ2D_90 = {"interior": "10 9"}
 # [problem] override of configs/demo.ini that puts every cluster on the contour
 DEMO_B1_30 = {"b1": "30"}
+# [problem] overrides of configs/demo.ini near the ends of the order range
+DEMO_ALPHAS = {"105": {"alpha": "1.05"}, "195": {"alpha": "1.95"}}
 
 
 def runs() -> list:
@@ -58,6 +63,10 @@ def runs() -> list:
     out += [(f"riesz2d-{c}", "riesz2d.ini", [c]) for c in COMMANDS]
     out += [(f"riesz2d90-{c}", "riesz2d-90.ini", [c]) for c in ("spectrum", "observability")]
     out.append(("demo-simulate-all", "demo.ini", ["simulate", "--route", "all"]))
+    out += [
+        (f"demo-a{a}-simulate", f"demo-a{a}.ini", ["simulate", "--route", "spectral"])
+        for a in DEMO_ALPHAS
+    ]
     out.append(("demo30-simulate", "demo-b1-30.ini", ["simulate", "--route", "spectral"]))
     out += [(f"demo30-{c}", "demo-b1-30.ini", [c]) for c in COMMANDS[1:]]
     out += [
@@ -75,6 +84,10 @@ def write_configs(outdir: Path) -> None:
         ("routes-1d.ini", ROOT / "configs" / "demo.ini", "observation", ROUTES_1D),
         ("riesz2d-90.ini", ROOT / "bench" / "riesz2d.ini", "problem", RIESZ2D_90),
         ("demo-b1-30.ini", ROOT / "configs" / "demo.ini", "problem", DEMO_B1_30),
+        *(
+            (f"demo-a{a}.ini", ROOT / "configs" / "demo.ini", "problem", overrides)
+            for a, overrides in DEMO_ALPHAS.items()
+        ),
     ):
         parser = configparser.ConfigParser()
         parser.read(base, encoding="utf-8")

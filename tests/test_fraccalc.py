@@ -407,3 +407,151 @@ class TestMittagLefflerKernel:
         assert all(mittag_leffler(1.5, 1.0, v) == e for v, e in zip(z.ravel(), values.ravel()))
         with pytest.raises(ValueError, match="finite"):
             mittag_leffler_kernel(1.5, 1.0, np.array([1.0, np.nan]))
+
+
+def series_by_terms(alpha, beta, x):
+    """The real-axis series one term at a time: sign(x)^k |x|^k / Gamma(alpha k + beta)
+    with the kernel's stopping rule (past the hump, two small terms in a row)."""
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    logx, hump, sign = np.log(np.abs(x)), np.abs(x) ** (1.0 / alpha), np.where(x < 0.0, -1.0, 1.0)
+    total = np.full(x.size, fraccalc._rgamma(beta))
+    small = np.zeros(x.size, dtype=bool)
+    for k in range(1, 601):
+        term = np.exp(k * logx - math.lgamma(alpha * k + beta)) * sign**k
+        total = total + term
+        tiny = np.abs(term) <= 1e-17 * (1.0 + np.abs(total))
+        done = tiny & small & (k >= hump)
+        out[todo[done]] = total[done]
+        keep = ~done
+        todo, logx, hump, sign, total, small = (
+            todo[keep], logx[keep], hump[keep], sign[keep], total[keep], tiny[keep]
+        )
+        if not todo.size:
+            return out
+    raise AssertionError("no convergence")
+
+
+EPS = np.finfo(float).eps
+# the real axis up to |x| = 5e3, with the series radius 10 and alpha < 1.5's
+# switch to the contour at 2 on both sides
+real_args = st.one_of(
+    st.floats(-5e3, 5e3),
+    st.floats(-12.0, 12.0),
+    st.sampled_from([s * v for s in (1.0, -1.0) for v in (2.0, 10.0, 10.0 - 1e-12, 10.0 + 1e-12)]),
+)
+any_args = st.one_of(
+    real_args,
+    st.tuples(moduli, angles).map(lambda polar: cmath.rect(*polar)),
+)
+betas = st.one_of(st.floats(0.5, 2.5), st.sampled_from([1.0, 2.0, 3.5]))
+
+
+class TestRealAxisAndBetaStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(orders, st.floats(0.5, 2.5), real_args)
+    def test_real_path_agrees_with_the_complex_path(self, alpha, beta, x):
+        # the complex path at x + 1e-300 i, where E differs from E(x) by
+        # about 1e-300.  Measured on 90,000 arguments: at most 1.9 eps times
+        # max(1, |E(x)|, E(|x|)), E(|x|) (the sum of the series' term
+        # moduli) counted up to |x| = 10, where the series cancels; a 4x margin
+        try:
+            near = mittag_leffler_kernel(alpha, beta, complex(x, 1e-300))
+        except MittagLefflerError:
+            with pytest.raises(MittagLefflerError):
+                mittag_leffler_kernel(alpha, beta, x)
+            return
+        value = mittag_leffler_kernel(alpha, beta, x)
+        assert value.imag == 0.0
+        assert mittag_leffler_kernel(alpha, beta, complex(x, -0.0)).tobytes() == value.tobytes()
+        moduli_sum = abs(mittag_leffler_kernel(alpha, beta, abs(x))) if abs(x) <= 10.0 else 0.0
+        assert abs(value - near) <= 8 * EPS * max(1.0, abs(near), moduli_sum)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orders, st.floats(0.5, 2.5), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+    def test_real_series_is_the_term_by_term_sum(self, alpha, beta, x):
+        x = np.array(x)
+        x = x[x != 0.0]
+        assume(x.size)
+        got = fraccalc._ml_series(alpha, [beta], x)[0]
+        assert got.tobytes() == series_by_terms(alpha, beta, x).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(orders, st.lists(betas, min_size=1, max_size=4), st.lists(any_args, min_size=1, max_size=10))
+    def test_stacked_betas_are_the_single_calls(self, alpha, bs, z):
+        z = np.array(z, dtype=complex)
+        singles, errors = [], []
+        for b in bs:
+            try:
+                singles.append(mittag_leffler_kernel(alpha, b, z))
+            except MittagLefflerError as exc:
+                errors.append(str(exc))
+        if errors:
+            # one of the messages the single calls raise
+            with pytest.raises(MittagLefflerError) as info:
+                mittag_leffler_kernel(alpha, bs, z)
+            assert str(info.value) in errors
+            return
+        stacked = mittag_leffler_kernel(alpha, bs, z)
+        assert stacked.shape == (len(bs), z.size)
+        for row, single in zip(stacked, singles):
+            assert row.tobytes() == single.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders, st.lists(betas, min_size=1, max_size=3), st.lists(any_args, min_size=1, max_size=10))
+    def test_stacked_elements_are_independent(self, alpha, bs, z):
+        z = np.array(z, dtype=complex)
+        try:
+            values = mittag_leffler_kernel(alpha, bs, z)
+        except MittagLefflerError:
+            return
+        for i, v in enumerate(z):
+            assert mittag_leffler_kernel(alpha, bs, v).tobytes() == values[:, i].tobytes()
+        assert mittag_leffler_kernel(alpha, bs, z[::-1]).tobytes() == values[:, ::-1].tobytes()
+        tiled = mittag_leffler_kernel(alpha, bs, np.tile(z, (2, 1)))
+        assert tiled.shape == (len(bs), 2, z.size)
+        assert tiled.tobytes() == np.stack([values, values], axis=1).tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha, bs, z, bad",
+        [
+            (2.5, (1.0, 2.0), -100.0, 1.0),  # alpha > 2 at large argument
+            (1.5, (1.0, 3.0), -100.0, 3.0),  # beta >= 1 + alpha
+            (1.25, (1.0, 2.0), 50.0 * np.exp(0.75j * np.pi), 1.0),  # root on the branch cut
+            (0.5, (1.0, 1.25), 1000.0, 1.0),  # E ~ 2 e^(10^6)
+            (1.0, (1.0, 2.0, 0.5), -50.0, 0.5),  # alpha = 1 near the negative axis
+            (1.0, (2.0, 1.0), 50.0, 2.0),  # beta = 1 + alpha off the closed form
+        ],
+    )
+    def test_unsupported_regimes_raise_as_the_single_call(self, alpha, bs, z, bad):
+        with pytest.raises(MittagLefflerError) as single:
+            mittag_leffler_kernel(alpha, bad, z)
+        with pytest.raises(MittagLefflerError) as stacked:
+            mittag_leffler_kernel(alpha, bs, np.array([0.5, z]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_reference_rows_by_stacked_calls(self):
+        # each (alpha, z) of the table with all its betas in one call: every
+        # row is bitwise its single call and within the loosest tolerance of
+        # the table tests above
+        table = load_table()
+        groups = {}
+        for alpha, beta, z in table:
+            groups.setdefault((alpha, z), []).append(beta)
+        for (alpha, z), bs in groups.items():
+            stacked = mittag_leffler_kernel(alpha, bs, z)
+            for beta, value in zip(bs, stacked):
+                assert value.tobytes() == mittag_leffler_kernel(alpha, beta, z).tobytes()
+                assert abs(value - table[alpha, beta, z]) < 1e-10
+
+    def test_shapes_and_validation(self):
+        z = -np.geomspace(1e-3, 4e3, 6).reshape(2, 3)
+        assert mittag_leffler_kernel(1.5, 1.0, z).shape == (2, 3)
+        assert mittag_leffler_kernel(1.5, [1.0], z).shape == (1, 2, 3)
+        assert mittag_leffler_kernel(1.5, np.array([1.0, 2.0]), z).shape == (2, 2, 3)
+        assert mittag_leffler_kernel(1.5, (1.0, 2.0), np.empty(0)).shape == (2, 0)
+        assert mittag_leffler_kernel(1.5, (1.0, 2.0), 3.0).shape == (2,)
+        with pytest.raises(ValueError, match="finite"):
+            mittag_leffler_kernel(1.5, (1.0, math.inf), z)
+        with pytest.raises(ValueError, match="sequence"):
+            mittag_leffler_kernel(1.5, [[1.0, 2.0]], z)
