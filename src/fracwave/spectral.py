@@ -17,10 +17,10 @@ ill-conditioned simple eigenvalues get dense P_n and D_n by trapezoid
 quadrature of the resolvent on a circle, kept as two (clusters, N, N)
 stacks in cluster order.  The quadrature is also the
 cross-check of the eigenvector projections (:func:`contour_difference`), on
-a circle an eighth as wide with a quarter of the nodes: the nearest other
-eigenvalue is then at least 16 radii away, so the trapezoid error bound stays
-2^-nodes, at the price of rounding that grows as the circle shrinks.  The
-quadrature solves its nodes against a block X of right-hand sides and sums
+a circle 1/128 as wide with an eighth of the nodes: the nearest other
+eigenvalue is then at least 256 radii away, so the trapezoid error bound
+stays 2^-nodes, at the price of rounding that grows as the circle shrinks.
+The quadrature solves its nodes against a block X of right-hand sides and sums
 them in groups of ``_STACK``, one matrix product each, giving P X and D X:
 X = I builds the dense P_n and D_n, while the cross-check applies both
 constructions to ``_PROBES`` fixed unit vectors, one LU and a few
@@ -92,21 +92,38 @@ DEFECT_TOL = 1e-8  # largest ||D_n||_2 / max(1, |lambda_n|) of a diagonalizable 
 # larger than a piece is solved in stacks of whole groups
 _STACK = 8
 # largest size of the shifted matrices z I - A that one np.linalg.solve
-# takes, whole circles at a time: a piece is 4 circles of 8 kept nodes on the
-# demo operator (N = 32), 1 from N = 46, and from N = 65 one group of 8 nodes
-# exceeds it, so each such circle is solved in stacks of 8.  Pieces of 1 MB
-# were no faster and took demo-1d's peak RSS 1.4 MB higher (one BLAS thread,
-# 2 cores).  The calling thread allocates each worker's buffer, so no helper
-# thread's malloc arena keeps one after the call
+# takes, whole circles at a time: a piece is 8 of the cross-check's circles
+# of 4 kept nodes on the demo operator (N = 32), 3 on riesz-2d (N = 48), 1
+# from N = 65, and from N = 91 each circle is a solve of its own.  A full
+# circle of 32 kept nodes is solved in stacks of 8 above N = 32.  Pieces of
+# 1 MB were no faster and took demo-1d's peak RSS 1.4 MB higher (one BLAS
+# thread, 2 cores, with circles of 8 kept nodes).  The calling thread
+# allocates each worker's buffer, so no helper thread's malloc arena keeps
+# one after the call
 _PIECE_BYTES = 1 << 19
 # contour_difference re-derives each eigenvector cluster on a circle this
 # many times smaller than its own, with nodes / log2(2 * _CHECK_SHRINK) nodes
-# (a quarter).  Its largest figure against the full circle's: riesz-2d
-# 4.0e-14 -> 5.0e-14; at most 1.5e-12 over 1,079 1D and 2D advection-diffusion
-# operators (N 4-16, b1 0-12); a median 1.2x-1.7x, worst 13x and at most
-# 3.5e-11 on random normal 12 x 12 matrices with a pair 1e-5 to 1e-1 ||A||
-# apart.  At N = 90 it took 0.26 s against 1.01 s (2 cores, one BLAS thread)
-_CHECK_SHRINK = 8
+# (an eighth: 8 of 64, 4 solved for a real center).  Its time and largest
+# figure against a circle of r_n / 8 with 16 nodes (fresh processes, 2 cores
+# and workers, one BLAS thread; N = 1,024 one run, the old figure
+# extrapolated from 4 circles):
+#
+#                                     r_n / 8, 16 nodes    r_n / 128, 8 nodes
+#   demo (N = 32)                     4 ms, 9.7e-15        2.6-3.8 ms, 8.2e-14
+#   riesz-2d (N = 48)                 9-15 ms, 4.3e-14     6 ms, 2.5e-13
+#   riesz-2d, interior 10 9 (N = 90)  51-91 ms, 3.8e-12    30-38 ms, 9.3e-12
+#   interior 16 15 (N = 240)          1.2-1.3 s, 1.6e-13   0.64-0.75 s, 5.3e-13
+#   interior 32 32 (N = 1,024)        about 7 min          130 s, 8.5e-12
+#   worst of 200 1D and 2D advection-diffusion operators (N 4-25, b1 0-12):
+#                                     1.8e-12              6.5e-12
+#   worst of 300 random normal 12 x 12 with a pair 1e-5 to 1e-1 ||A|| apart:
+#                                     1.1e-11              2.4e-10
+#
+# The small circle comes too close to its own eigenvalue for the guard of
+# riesz_projection, and the cluster keeps its full circle, only where
+# r_n < 1.28e-6 max(1, |lambda_n|): with radii of half a gap, only for
+# cluster_tol below about 2.6e-6 ||A||, which includes the default 1e-6 ||A||
+_CHECK_SHRINK = 128
 # contour_difference compares P_n X with v (u.X) for this many seeded Gaussian
 # columns X of unit 2-norm: a block of 4 in place of I took the check on the
 # riesz-2d operator from 0.31 to 0.13 s at N = 90 and from 8.9 to 2.4 s at
@@ -440,7 +457,8 @@ def _contour_sums(A, centers, radii, nodes, block=None, eigenvalues=None):
     w[conjugate[circle] & (k < per // 2)] *= 2.0  # the mirror node's conjugate term
     weights = np.stack([w, w * (zs - lam)])  # the rows of P and of D
     # pieces: [first, last) circles, and the nodes one solve takes: all of
-    # them, or for a circle larger than a piece a stack of whole groups
+    # them, or for a circle larger than a piece a stack of whole groups (the
+    # whole circle if it is smaller than a group)
     cap = max(1, _PIECE_BYTES // (16 * n * n))
     pieces = []
     for c in range(len(centers)):
@@ -449,7 +467,7 @@ def _contour_sums(A, centers, radii, nodes, block=None, eigenvalues=None):
         else:
             pieces.append([c, c + 1])
     sizes = [ends[b - 1] - starts[a] for a, b in pieces]
-    steps = [s if s <= cap else _STACK * max(1, cap // _STACK) for s in sizes]
+    steps = [s if s <= cap else min(s, _STACK * max(1, cap // _STACK)) for s in sizes]
     workers = max(1, min(_usable_cores(), len(pieces)))
     # each worker's stack of -A, whose diagonals each solve sets to z - a_ii
     # (np.linalg.solve leaves its input as it is)
@@ -706,15 +724,17 @@ def contour_difference(A, rd: RieszData) -> np.ndarray:
     Each recomputed cluster is a single eigenvalue at the center of its
     circle, and every other eigenvalue lies at least twice the radius r_n
     away.  So the check integrates on the circle of radius
-    r_n / ``_CHECK_SHRINK`` = r_n / 8, whose nearest outside pole is at least
-    16 times its radius away, with ceil(nodes / 4) nodes: the trapezoid rule
-    errs by about (1/16)^(nodes/4) = 2^-nodes, the bound of ``nodes`` nodes on
-    r_n, for a quarter of the resolvent solves.  The price is rounding, which
-    grows about like eps ||A|| / radius as the circle shrinks.  A cluster
-    keeps r_n and ``nodes`` where either circle comes too close to the
-    spectrum for :func:`riesz_projection`: the small one only when
-    ``cluster_tol`` is below about 1.6e-7 ||A||, the full one (which then
-    raises :class:`ContourError`) only for radii that are not half-gaps.
+    r_n / ``_CHECK_SHRINK`` = r_n / 128, whose nearest outside pole is at
+    least 256 times its radius away, with ceil(nodes / 8) nodes: the
+    trapezoid rule errs by about (1/256)^(nodes/8) = 2^-nodes, the bound of
+    ``nodes`` nodes on r_n, for an eighth of the resolvent solves.  The price
+    is rounding, which grows about like eps ||A|| / radius as the circle
+    shrinks.  A cluster keeps r_n and ``nodes`` where either circle comes too
+    close to the spectrum for :func:`riesz_projection`: the small one only
+    when ``cluster_tol`` is below about 2.6e-6 ||A|| (the default 1e-6 ||A||
+    among them) and then only for a gap below about 2.6e-6 |lambda_n|, the
+    full one (which then raises :class:`ContourError`) only for radii that
+    are not half-gaps.
     """
     diff = np.zeros(rd.n_clusters)
     clusters = np.flatnonzero(rd.simple)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -508,7 +509,7 @@ class TestContourThreads:
         monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
         serial = spectral.contour_difference(advection_operator, rd)
         # more threads than cores, each piece one circle
-        monkeypatch.setattr(spectral, "_PIECE_BYTES", 8 * 16 * len(rd.V) ** 2)
+        monkeypatch.setattr(spectral, "_PIECE_BYTES", 4 * 16 * len(rd.V) ** 2)
         calls = record_circles(monkeypatch, cores=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -516,7 +517,7 @@ class TestContourThreads:
             threaded = spectral.contour_difference(advection_operator, rd)
         finally:
             sys.setswitchinterval(interval)
-        calls = [c[0] for c in calls if c[3] == 8]  # every node of the circle solved once
+        calls = [c[0] for c in calls if c[3] == 4]  # every node of the circle solved once
         assert sorted(calls, key=lambda z: (z.real, z.imag)) == list(es.eigenvalues)
         assert np.array_equal(threaded, serial)
 
@@ -672,16 +673,24 @@ class TestContourSums:
         assert "around 10+0j (radius 1)" in str(batched.value)
 
     def test_check_memory_is_the_pieces_and_its_output(self):
-        # the shifted matrices of the 10 x 9 mesh's 90 circles (8 nodes each)
-        # would take 93 MB at once; each worker's buffer holds one piece or
-        # one group of _STACK nodes of a larger circle, the rest is O(N^2):
-        # the (90, 2, 90, 4) sums, 1 MB
-        mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 9))
+        # the shifted matrices of the 10 x 9 mesh's 90 circles (4 kept nodes
+        # each) would take 47 MB at once; each worker's buffer holds one
+        # piece, the rest is O(N^2): the (90, 2, 90, 4) sums, 1 MB
+        self.assert_check_memory((10, 9))
+
+    def test_check_buffers_hold_a_circle_below_a_group(self):
+        # from N = 91 a circle of 4 kept nodes is larger than a piece; its
+        # worker's buffer holds those 4 shifted matrices, not a group of 8
+        self.assert_check_memory((11, 9))
+
+    @staticmethod
+    def assert_check_memory(grid):
+        mesh = Mesh((0.0, 0.0), (1.0, 0.7), grid)
         op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
         es = eigendecompose(op)
         rd = compute_riesz_data(op, es)
         n = len(rd.V)
-        assert rd.simple.all() and n == 90
+        assert rd.simple.all() and n == grid[0] * grid[1]
         spectral.contour_difference(op, rd)
         tracemalloc.start()
         try:
@@ -692,23 +701,23 @@ class TestContourSums:
         finally:
             tracemalloc.stop()
         workers = min(spectral._usable_cores(), n)
-        buffer = max(spectral._PIECE_BYTES, spectral._STACK * 16 * n**2)
+        buffer = max(spectral._PIECE_BYTES, 4 * 16 * n**2)
         assert peak <= workers * buffer + 16 * 16 * n**2
 
 
 class TestSmallCircleCheck:
-    """contour_difference re-derives each eigenvector cluster on a circle an
-    eighth as wide with a quarter of the nodes, applied to fixed probes."""
+    """contour_difference re-derives each eigenvector cluster on a circle
+    1/128 as wide with an eighth of the nodes, applied to fixed probes."""
 
-    def test_demo_operator_solves_8_nodes_per_cluster(self, monkeypatch, advection_operator):
+    def test_demo_operator_solves_4_nodes_per_cluster(self, monkeypatch, advection_operator):
         es = eigendecompose(advection_operator)
         rd = compute_riesz_data(advection_operator, es)
         assert rd.simple.all() and np.all(es.eigenvalues.imag == 0)
         calls = record_circles(monkeypatch)
         spectral.contour_difference(advection_operator, rd)
         assert [c[0] for c in calls] == list(es.eigenvalues)
-        assert [c[1] for c in calls] == list(es.radii / 8)
-        assert [c[2:] for c in calls] == [[16, 8]] * es.n_clusters
+        assert [c[1] for c in calls] == list(es.radii / spectral._CHECK_SHRINK)
+        assert [c[2:] for c in calls] == [[8, 4]] * es.n_clusters
 
     def test_non_real_centers_keep_every_node(self, monkeypatch):
         A = scipy.linalg.block_diag([[1.0, 2.0], [-2.0, 1.0]], [[3.0]])
@@ -718,7 +727,7 @@ class TestSmallCircleCheck:
         assert rd.simple.all()
         calls = record_circles(monkeypatch)
         diff = spectral.contour_difference(A, rd)
-        solved = [16 if c[0].imag else 8 for c in calls]
+        solved = [8 if c[0].imag else 4 for c in calls]
         assert sorted(np.sign(c[0].imag) for c in calls) == [-1.0, 0.0, 1.0]
         assert [c[3] for c in calls] == solved and diff.max() <= 1e-12
 
@@ -770,7 +779,7 @@ class TestSmallCircleCheck:
             es = eigendecompose(A, cluster_tol=tol)
         except NumericsError:
             return
-        circles = np.stack([es.radii, es.radii / 8])
+        circles = np.stack([es.radii, es.radii / spectral._CHECK_SHRINK])
         near, dist = spectral._near_spectrum(es.raw_eigenvalues, es.eigenvalues, circles)
         for i, lam in enumerate(es.eigenvalues):
             for c, radius in enumerate(circles[:, i]):
@@ -790,6 +799,39 @@ class TestSmallCircleCheck:
         assert (es.condition <= KAPPA_MAX).all() and es.radii.min() < 2 * gap
         self.assert_agrees_with_the_full_circle(near_pair(gap), es)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.integers(2, 12),
+        step=st.integers(-6, 4),
+        start=st.integers(-800, 800),
+        lattice=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trapezoid_term_is_below_rounding(self, size, step, start, lattice, seed):
+        # exact eigenvectors (a diagonal matrix, its entries in random order)
+        # and dyadic eigenvalues h apart on a line or a square lattice, so each
+        # has a neighbour at exactly 2 r_n = h, the radius rule's worst case.
+        # The trapezoid term there is (1/256)^8 = 2^-64 per neighbour, far
+        # below rounding, which grows like eps max(1, |lambda|) / rho with rho
+        # = r_n / 128 the check's radius.  Over 800 draws of these matrices
+        # the figure reached at most 0.22 of that; the bound allows 4.5 times
+        # as much.  With 8 nodes on a circle of r_n / 8 (a trapezoid term of
+        # (1/16)^8 = 2.3e-10) or 4 nodes on this one ((1/256)^4), the test
+        # fails
+        h = 2.0**step
+        lam = start / 4.0 + h * np.arange(size)
+        if lattice:
+            side = math.isqrt(size - 1) + 1
+            lam = start / 4.0 + h * (np.arange(size) % side + 1j * (np.arange(size) // side))
+        A = np.diag(np.random.default_rng(seed).permutation(lam))
+        es = eigendecompose(A)
+        rd = compute_riesz_data(A, es)
+        assert rd.simple.all() and np.array_equal(rd.radii, np.full(size, h / 2))
+        diff = spectral.contour_difference(A, rd)
+        rho = rd.radii / spectral._CHECK_SHRINK
+        eps = np.finfo(float).eps
+        assert np.all(diff <= eps * np.maximum(1.0, np.abs(rd.eigenvalues)) / rho)
+
     @staticmethod
     def assert_agrees_with_the_full_circle(A, es):
         rd = compute_riesz_data(A, es)
@@ -799,7 +841,7 @@ class TestSmallCircleCheck:
 
     def test_small_circle_too_close_keeps_the_full_circle(self, monkeypatch):
         # at cluster_tol = 0 the pair 4e-8 apart gets radii 2e-8, whose
-        # eighth passes within the guard's 1e-8 of its own eigenvalue
+        # 128th passes within the guard's 1e-8 of its own eigenvalue
         A = np.diag([1.0, 1.0 + 4e-8, 3.0])
         A[0, 2] = 0.3
         es = eigendecompose(A, cluster_tol=0.0)
@@ -807,13 +849,14 @@ class TestSmallCircleCheck:
         assert rd.simple.all()
         with pytest.raises(ContourError):
             riesz_projection(
-                A, es.eigenvalues[0], es.radii[0] / 8, 16, eigenvalues=es.raw_eigenvalues
+                A, es.eigenvalues[0], es.radii[0] / spectral._CHECK_SHRINK, 8,
+                eigenvalues=es.raw_eigenvalues,
             )
         calls = record_circles(monkeypatch)
         diff = spectral.contour_difference(A, rd)
         monkeypatch.undo()
         assert [c[1:3] for c in calls] == [
-            [es.radii[0], 64], [es.radii[1], 64], [es.radii[2] / 8, 16]
+            [es.radii[0], 64], [es.radii[1], 64], [es.radii[2] / 128, 8]
         ]
         assert np.array_equal(diff[:2], full_circle_difference(A, rd)[:2])
         assert diff.max() <= 1e-9
