@@ -22,6 +22,7 @@ resolvents of a and b through the fractional power (-eta)^(1/alpha).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,29 +84,35 @@ class ObservationSetup:
             raise ValueError("sample times must be strictly increasing and positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationMap:
-    """Matrix of the data-to-observations map with its singular spectrum.
+    """Matrix of the data-to-observations map.
 
     Row ordering is time-major: row = time_index * |omega| + omega_position.
     Columns 0..N-1 are unit a-sources, columns N..2N-1 unit b-sources.
+    Its readers decompose it only as far as they need:
+    :attr:`singular_values` is a values-only SVD, computed on first read and
+    kept (the map is frozen, so it cannot go stale), and
+    :func:`invert_source` takes the full SVD itself.
     """
 
     matrix: np.ndarray = field(repr=False)
     setup: ObservationSetup
     n_dof: int  # N; the map has 2N columns
-    svd_u: np.ndarray = field(repr=False, default=None)
-    singular_values: np.ndarray = None
-    svd_vt: np.ndarray = field(repr=False, default=None)
     params: dict = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """The map's singular values, largest first (no singular vectors)."""
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
 
 def build_observation_map(A, alpha: float, setup: ObservationSetup) -> ObservationMap:
-    """Assemble the (|omega| * |times|) x 2N observation matrix and its SVD.
+    """Assemble the (|omega| * |times|) x 2N observation matrix.
 
     Column j is the forward solution of the j-th unit source (a-basis first,
     then b-basis) restricted to omega x sample-times; linearity of the
@@ -132,14 +139,10 @@ def build_observation_map(A, alpha: float, setup: ObservationSetup) -> Observati
     # states[t, j, h * w + i] -> M[t * w + i, h * n + j], h = 0 (a) or 1 (b)
     M = sol.states.reshape(n_times, n, 2, w).transpose(0, 3, 2, 1).reshape(n_times * w, 2 * n)
 
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
     return ObservationMap(
         matrix=M,
         setup=setup,
         n_dof=n,
-        svd_u=u,
-        singular_values=s,
-        svd_vt=vt,
         params={
             "alpha": alpha,
             "route": sol.route,
@@ -277,7 +280,8 @@ def invert_source(
     """Recover (a, b) from samples observed through ``obsmap`` by regularized least squares.
 
     Tikhonov: x = argmin ||M x - data||^2 + lambda ||x||^2 with
-    lambda = reg_scale * sigma_1^2, solved through the stored SVD.
+    lambda = reg_scale * sigma_1^2, solved through the map's full SVD, taken
+    here.
     Truncated SVD: pseudo-inverse keeping ``tsvd_rank`` modes.  No automatic
     parameter selection: fixed, logged values keep experiments deterministic.
     """
@@ -286,10 +290,10 @@ def invert_source(
         raise ValueError(
             f"data length {data.shape[0]} does not match map rows {obsmap.shape[0]}"
         )
-    s = obsmap.singular_values
+    u, s, vt = np.linalg.svd(obsmap.matrix, full_matrices=False)
     if s[0] == 0.0:
         raise NumericsError("observation map is identically zero")
-    coeffs = obsmap.svd_u.T @ data
+    coeffs = u.T @ data
     if method == "tikhonov":
         lam = reg_scale * s[0] ** 2
         filt = s / (s**2 + lam)
@@ -304,7 +308,7 @@ def invert_source(
         params = {"method": "tsvd", "rank": k}
     else:
         raise ValueError(f"unknown regularization method {method!r}")
-    x = obsmap.svd_vt.T @ (filt * coeffs)
+    x = vt.T @ (filt * coeffs)
     n = obsmap.n_dof
     resid = float(np.linalg.norm(obsmap.matrix @ x - data))
     return InversionResult(

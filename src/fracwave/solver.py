@@ -14,8 +14,10 @@ each other; their agreement is the package's core correctness instrument.
   linear solve per contour node per output time, covering every column of a
   source block.
 * ``solve_spectral_oracle``: Mittag-Leffler mode sum over the Riesz spectral
-  decomposition; refuses data that fail the reliability rule of
-  :meth:`fracwave.spectral.RieszData.check` and defective clusters.
+  decomposition, summed over the eigenvector factors of the simple clusters
+  (:meth:`fracwave.spectral.RieszData.mode_sum`); refuses data that fail the
+  reliability rule of :meth:`fracwave.spectral.RieszData.check` and
+  defective clusters.
 
 Each route takes one source or a block of sources (see :class:`SourcePair`)
 and returns :class:`SolutionSamples` with states shaped ``(times, *a.shape)``.
@@ -452,6 +454,10 @@ def solve_spectral_oracle(
     (:class:`DefectiveClusterError` for a defective cluster) instead of
     returning a silently wrong answer.  Complex cluster eigenvalues are
     supported through the Mittag-Leffler function at complex argument.
+    The Mittag-Leffler factors of all (time, cluster) pairs come from one
+    kernel call; :meth:`RieszData.mode_sum` contracts them with the simple
+    clusters' eigenvector factors and the contour clusters' P_n x, in
+    O(times N m + times clusters m) memory for m sources.
     States are shaped (times, *source.a.shape).
     """
     _check_alpha(alpha)
@@ -463,14 +469,13 @@ def solve_spectral_oracle(
     if source.size != n:
         raise ValueError(f"source length {source.size} does not match operator size {n}")
     # one kernel call for both betas (beta 1 alone when b = 0) over all
-    # (time, cluster) arguments, then sums over the clusters n of
-    # E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b, each P_n x formed
-    # first: for a unit source it is an exact selection
+    # (time, cluster) arguments, then the mode sums over the clusters n of
+    # E_{a,1}(z[:, n]) P_n a and t E_{a,2}(z[:, n]) P_n b
     z = -np.outer(times**alpha, riesz.eigenvalues)
     e = mittag_leffler_kernel(alpha, (1.0, 2.0) if np.any(source.b) else (1.0,), z)
-    states_c = np.tensordot(e[0], riesz.apply(source.a), axes=1)
+    states_c = riesz.mode_sum(e[0], source.a)
     if len(e) > 1:
-        states_c += np.tensordot(times[:, None] * e[1], riesz.apply(source.b), axes=1)
+        riesz.mode_sum(times[:, None] * e[1], source.b, out=states_c)
     # largest |imaginary| and |real| parts, without |x| temporaries
     imag, real = states_c.imag, states_c.real
     imag_resid = float(max(imag.max(initial=0.0), -imag.min(initial=0.0)))

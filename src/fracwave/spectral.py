@@ -170,10 +170,12 @@ class RieszData:
     0 by construction, and u.v - 1, (u.v) r - (u.r) v and (u.v) r carry the
     check.  The others keep their dense P_n and D_n in order, as the
     (clusters, N, N) stacks ``P`` and ``D`` of :func:`_contour_sums`;
-    ``transposed`` marks the data of A^T.  It also keeps what :meth:`check`
-    decides from: the eigenvalue ``condition`` numbers (0 for clusters of
-    several eigenvalues), the ``identities`` report and the relative
-    ``defect`` ||D_n||_2 / max(1, |lambda_n|) of each cluster.
+    ``transposed`` marks the data of A^T.  :meth:`mode_sum` sums
+    c[t, n] P_n x over the factors of the simple clusters and the stacks of
+    the others.  It also keeps what :meth:`check` decides from: the
+    eigenvalue ``condition`` numbers (0 for clusters of several
+    eigenvalues), the ``identities`` report and the relative ``defect``
+    ||D_n||_2 / max(1, |lambda_n|) of each cluster.
     """
 
     eigenvalues: np.ndarray
@@ -206,28 +208,55 @@ class RieszData:
         mats = [next(rank_one) if s else next(contour) for s in self.simple]
         return [M.T for M in mats] if self.transposed else mats
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """P_n x of every cluster n for a vector or block x: (n_clusters, *x.shape).
+    def mode_sum(self, c: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sum_n c[t, n] P_n x for each row t of the (times, clusters)
+        coefficients c and a vector or block x: complex, (times, *x.shape),
+        added to ``out`` when it is given (an earlier result for x's shape).
 
-        A simple cluster's v (u.x) costs O(N) per column.  Both orientations
-        multiply the v-entry into the u-entry, as P_n does, so a unit x
-        selects a column of P_n or of P_n^T bitwise.
+        A simple cluster's P_n = v u^T is never formed.  Entry (i, j) of the
+        sum over the simple clusters is sum_n (c[t, n] v_n[i]) u_n[j]: one
+        product of a (times, clusters) operand holding c v with a
+        (clusters, N) operand holding u.  The data of A^T take one such
+        product per source column s, with x_s . v in place of v[i].  The
+        data of A take one per node i, N source columns at a time, so that
+        a unit block of A and the unit sources of A^T reach each entry
+        through products of the same shapes and operands: BLAS rounding
+        depends on both, and an observation map is held bitwise to the omega
+        rows of the forward solve of every unit source.  Below N sources
+        A's data take the per-source order too, with u and v swapped, which
+        holds less.  The working memory is O(times N m + times clusters m),
+        never a (clusters, N, m) block; the per-source order skips the
+        columns before the first and after the last nonzero one.  The
+        contour clusters add one ``tensordot`` of their c with their stacked
+        P_n x, whose rounding depends on the width of x.
         """
         flat = x.reshape(len(x), -1)
-        out = np.empty((self.n_clusters, *flat.shape), dtype=complex)
-        # the simple clusters' factors scattered to cluster rows, so that one
-        # masked product writes every simple block straight into out
-        vec = np.zeros((self.n_clusters, len(flat), 1), dtype=complex)
-        vec[self.simple, :, 0] = (self.U if self.transposed else self.V).T
-        dots = np.zeros((self.n_clusters, 1, flat.shape[1]), dtype=complex)
-        dots[self.simple, 0] = (self.V if self.transposed else self.U).T @ flat
-        np.multiply(
-            *((dots, vec) if self.transposed else (vec, dots)),
-            out=out, where=self.simple[:, None, None],
-        )
-        for i, P in zip(np.flatnonzero(~self.simple), self.P):
-            out[i] = (P.T if self.transposed else P) @ flat
-        return out.reshape(self.n_clusters, *x.shape)
+        n, m = flat.shape
+        if out is None:
+            out = np.zeros((len(c), *x.shape), dtype=complex)
+        acc = out.reshape(len(c), n, m)
+        # P_n scatters along its v and dots with its u; P_n^T the other way
+        left, right = (self.U, self.V) if self.transposed else (self.V, self.U)
+        cs = c[:, self.simple]
+        if self.transposed or m < n:
+            # per source s from the first to the last nonzero one (a map's
+            # a- or b-half): (c * (x_s . right)) @ left^T, (times, N)
+            nonzero = np.flatnonzero(flat.any(axis=0))
+            cols = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0)
+            weighted = cs[None] * (flat[:, cols].T @ right)[:, None, :]
+            acc[:, :, cols] += np.matmul(weighted, np.ascontiguousarray(left.T)).transpose(1, 2, 0)
+        else:
+            # per node i: (c * left[i]) @ (right^T x), (times, N columns)
+            weighted = cs[None] * left[:, None, :]
+            for lo in range(0, m, n):
+                block = right.T @ flat[:, lo : lo + n]
+                acc[:, :, lo : lo + n] += np.matmul(weighted, block).transpose(1, 0, 2)
+        if len(self.P):
+            stack = np.empty((len(self.P), n, m), dtype=complex)
+            for j, P in enumerate(self.P):
+                stack[j] = (P.T if self.transposed else P) @ flat
+            acc += np.tensordot(c[:, ~self.simple], stack, axes=1)
+        return out
 
     def transpose(self) -> "RieszData":
         """The Riesz data of A^T: P_n^T and D_n^T, refused exactly as the data of A."""

@@ -1,3 +1,6 @@
+import configparser
+import dataclasses
+import io
 import math
 import re
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracwave.cli
 import fracwave.fraccalc
 import fracwave.observability
 import fracwave.solver
@@ -313,13 +317,13 @@ class TestInjectivity:
     def test_rank_deficient_map_has_no_condition_number(self):
         # sigma_min is positive but below the rank threshold 2 eps sigma_1
         s = np.array([1.0, 1e-20])
-        rep = injectivity_report(ObservationMap(np.diag(s), None, 1, singular_values=s))
+        rep = injectivity_report(ObservationMap(np.diag(s), None, 1))
         assert rep.numerical_rank == 1 and not rep.injective
         assert rep.sigma_min == 1e-20 and rep.condition == math.inf
 
     def test_injective_map_keeps_its_condition_number(self):
         s = np.array([2.0, 0.5])
-        rep = injectivity_report(ObservationMap(np.diag(s), None, 1, singular_values=s))
+        rep = injectivity_report(ObservationMap(np.diag(s), None, 1))
         assert rep.injective and rep.condition == 4.0
 
     def test_duplicated_rows_leave_rank_unchanged(self, riesz):
@@ -345,6 +349,46 @@ class TestInjectivity:
 
         assert smin(omega_small, times_many) >= smin(omega_small, times_few) - 1e-12
         assert smin(omega_big, times_few) >= smin(omega_small, times_few) - 1e-12
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# [observation] of the benchmark's workloads: demo-1d, the two maps of
+# routes-1d and riesz-2d
+WORKLOAD_MAPS = {
+    "demo-1d": ("configs/demo.ini", {}),
+    "routes-1d-resolvent": (
+        "configs/demo.ini",
+        {"times": "uniform:8", "horizon": "0.5", "timestep_K": "512", "route": "resolvent"},
+    ),
+    "routes-1d-timestep": (
+        "configs/demo.ini",
+        {"times": "uniform:8", "horizon": "0.5", "timestep_K": "512", "route": "timestep"},
+    ),
+    "riesz-2d": ("bench/riesz2d.ini", {}),
+}
+
+
+class TestSingularValues:
+    """The map's values-only SVD against the full one."""
+
+    @pytest.mark.parametrize("workload", WORKLOAD_MAPS)
+    def test_values_only_match_the_full_svd(self, workload):
+        base, observation = WORKLOAD_MAPS[workload]
+        parser = configparser.ConfigParser()
+        parser.read(ROOT / base, encoding="utf-8")
+        parser["observation"].update(observation)
+        text = io.StringIO()
+        parser.write(text)
+        cfg = parse_config_text(text.getvalue())
+        op = cfg.build_operator()
+        obsmap = fracwave.cli._observation_map(cfg, op, cfg.build_mesh())
+        rep = injectivity_report(obsmap)
+        assert obsmap.singular_values is obsmap.singular_values  # computed once
+        full = np.linalg.svd(obsmap.matrix, full_matrices=False)[1]
+        above = full > rep.rank_threshold
+        assert obsmap.singular_values.shape == full.shape and above.sum() >= rep.numerical_rank
+        diff = np.abs(obsmap.singular_values - full)[above]
+        assert diff.max() <= 1e-13 * full[0]
 
 
 class TestBranchProbe:
@@ -451,8 +495,7 @@ class TestInversion:
         mesh, op = make_operator(6)
         setup = ObservationSetup(np.arange(6), np.array([0.5]), riesz(op))
         M = build_observation_map(op, ALPHA, setup)
-        M.matrix = np.zeros_like(M.matrix)
-        M.singular_values = np.zeros_like(M.singular_values)
+        M = dataclasses.replace(M, matrix=np.zeros_like(M.matrix))
         with pytest.raises(NumericsError):
             invert_source(M, np.zeros(M.shape[0]))
 

@@ -985,10 +985,13 @@ class TestReliabilityRule:
             for X, Xt in zip(getattr(rd, name), getattr(rdt, name), strict=True):
                 np.testing.assert_array_equal(Xt, X.T)
         np.testing.assert_array_equal(rdt.transpose().projections[0], rd.projections[0])
-        # a unit source selects a column of each P_n^T, bitwise
-        cols = rdt.apply(np.eye(len(op.matrix)))
+        # the mode sum of one cluster on unit sources selects P_n^T
+        eye, unit = np.eye(len(op.matrix)), np.eye(rd.n_clusters)
         for i, P in enumerate(rd.projections):
-            np.testing.assert_array_equal(cols[i], P.T)
+            cols = rdt.mode_sum(unit[i : i + 1], eye)[0]
+            assert np.abs(cols - P.T).max() <= 1e-15 * np.abs(P).max()
+            if not rd.simple[i]:  # the contour stack's own entries
+                np.testing.assert_array_equal(cols, P.T)
 
 
 def dense_riesz(A, es):
@@ -1087,25 +1090,28 @@ class TestFactoredStorage:
         assert np.abs(states - want).max() <= 1e-13 * np.abs(want).max()
 
     @settings(max_examples=40, deadline=None)
-    @given(A=advection_operators(), columns=st.integers(1, 5))
-    def test_apply_is_the_masked_broadcast_bitwise(self, A, columns):
-        # the product written in place against the broadcast product copied
-        # in through the mask, the same multiplications in the same order
+    @given(A=advection_operators(), data=st.data())
+    def test_unit_sources_select_alike_in_both_orientations(self, A, data):
+        # the transposed data on the unit sources of omega give the omega
+        # rows of the forward sum on a unit block, bitwise: how an
+        # observation map is built from A^T.  The contour clusters' one
+        # tensordot rounds with the width of the block, so their
+        # coefficients are 0 here
         try:
             es = eigendecompose(A)
         except NumericsError:  # a cluster spread over its radius
             return
         rd = compute_riesz_data(A, es)
-        x = np.random.default_rng(columns).standard_normal((len(A), columns))
-        for r in (rd, rd.transpose()):
-            want = np.empty((r.n_clusters, len(A), columns), dtype=complex)
-            if r.transposed:
-                want[r.simple] = (r.V.T @ x)[:, None] * r.U.T[:, :, None]
-            else:
-                want[r.simple] = r.V.T[:, :, None] * (r.U.T @ x)[:, None]
-            for i, P in zip(np.flatnonzero(~r.simple), r.P):
-                want[i] = (P.T if r.transposed else P) @ x
-            assert np.array_equal(r.apply(x), want)
+        n = len(A)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal((3, rd.n_clusters)) + 1j * rng.standard_normal((3, rd.n_clusters))
+        c[:, ~rd.simple] = 0.0
+        omega = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        blocks = data.draw(st.integers(1, 2))  # a map's a- and b-halves
+        forward = rd.mode_sum(c, np.tile(np.eye(n), blocks))
+        got = rd.transpose().mode_sum(c, np.eye(n)[:, omega])
+        for lo in range(0, blocks * n, n):
+            assert np.array_equal(got, forward[:, omega, lo : lo + n].transpose(0, 2, 1))
 
     def test_memory_stays_linear_per_cluster(self):
         # dense storage would hold 100 x 2 matrices of 160 kB, about 32 MB
@@ -1124,27 +1130,28 @@ class TestFactoredStorage:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_mode_sum_holds_one_cluster_block(self):
-        # the 90 unit sources of an observation map on the 10 x 9 mesh: each
-        # simple cluster's v (u.x) goes straight into the (clusters, N, m)
-        # block of P_n x, which is 11.7 MB: the peak is 12.2 MB, where a
-        # broadcast temporary copied in through the mask took it to 23.7 MB
+    def test_mode_sum_holds_no_cluster_block(self):
+        # the 90 unit sources of an observation map on the 10 x 9 mesh: a
+        # (clusters, N, m) block of P_n x takes 11.7 MB (a 12.2 MB peak); the
+        # factored sum holds (times, N, m) states and a (N or m, times,
+        # clusters) operand: 1.05 MB forward and 0.92 MB transposed
         mesh = Mesh((0.0, 0.0), (1.0, 0.7), (10, 9))
         op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
         rd = compute_riesz_data(op, eigendecompose(op))
         assert rd.simple.all() and rd.n_clusters == 90
         source = SourcePair(np.eye(90), np.zeros((90, 90)))
-        solve_spectral_oracle(rd, source, 1.5, [0.5, 1.0])
-        block = 90 * 90 * 90 * 16
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            solve_spectral_oracle(rd, source, 1.5, [0.5, 1.0])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert block < peak < 1.2 * block
+        states = 2 * 90 * 90 * 16
+        for r in (rd, rd.transpose()):
+            solve_spectral_oracle(r, source, 1.5, [0.5, 1.0])
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                solve_spectral_oracle(r, source, 1.5, [0.5, 1.0])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * states
 
 
 def parent_rank(P, tol=spectral.RANK_TOL):
@@ -1190,7 +1197,7 @@ class TestContourStacks:
         assert rd.nodes == DEFAULT_CONTOUR_NODES
         assert np.array_equal(rd.raw_eigenvalues, es.raw_eigenvalues)
         x = np.random.default_rng(3).standard_normal((n, 3))
-        applied = rd.apply(x), rd.transpose().apply(x)
+        unit = np.eye(rd.n_clusters)
         acc = rd.V @ rd.U.T
         for j, i in enumerate(contour):
             lam = es.eigenvalues[i]
@@ -1209,8 +1216,9 @@ class TestContourStacks:
             ]
             got = [getattr(rd.identities, name)[i] for name in IdentityReport.NAMES]
             assert got == [float(np.max(np.abs(M))) for M in rows]
-            assert np.array_equal(applied[0][i], P @ x)
-            assert np.array_equal(applied[1][i], P.T @ x)
+            # the mode sum of cluster i alone is its P_n x, bitwise
+            assert np.array_equal(rd.mode_sum(unit[i : i + 1], x)[0], P @ x)
+            assert np.array_equal(rd.transpose().mode_sum(unit[i : i + 1], x)[0], P.T @ x)
             acc += P
         assert rd.identities.completeness == float(np.linalg.norm(acc - np.eye(n), 2))
 
@@ -1222,6 +1230,49 @@ class TestContourStacks:
         ranks = spectral._numerical_rank(stack)
         assert ranks.tolist() == [parent_rank(P) for P in stack] == [3, 3, 0, 3, 1, 3]
         assert spectral._numerical_rank(np.empty((0, 5, 5))).shape == (0,)
+
+
+def riesz_2d():
+    mesh = Mesh((0.0, 0.0), (1.0, 0.7), (8, 6))
+    op = assemble(mesh, CoefficientField.from_callables(mesh, b1=1.0, b2=0.5))
+    return op, eigendecompose(op)
+
+
+MODE_SUM_FIXTURES = {
+    "square-4x4": square_4x4,  # clusters of both kinds
+    "demo-b1-30": demo_b1_30,  # every cluster on the contour
+    "riesz-2d": riesz_2d,  # every cluster simple
+}
+
+
+class TestModeSum:
+    """RieszData.mode_sum against the dense P_n of every cluster."""
+
+    @pytest.mark.parametrize("fixture", MODE_SUM_FIXTURES)
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("columns", [None, 3, "N + 2", "2N"])
+    def test_matches_the_dense_construction(self, fixture, transposed, columns):
+        A, es = MODE_SUM_FIXTURES[fixture]()
+        rd = compute_riesz_data(A, es)
+        if transposed:
+            rd = rd.transpose()
+        n = len(as_matrix(A))
+        rng = np.random.default_rng(7)
+        shape = (n,) if columns is None else (n, {3: 3, "N + 2": n + 2, "2N": 2 * n}[columns])
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        if columns is not None:  # zero columns at the start of x and the end of y
+            x[:, 0] = x[:, 1] = y[:, -1] = 0.0
+        times = np.array([0.1, 0.5, 1.0])
+        e1, e2 = mittag_leffler_kernel(1.5, (1.0, 2.0), -np.outer(times**1.5, rd.eigenvalues))
+        e2 = times[:, None] * e2
+        Ps = np.asarray(dense_riesz(A, es)[0])
+        if transposed:
+            Ps = Ps.transpose(0, 2, 1)
+        want = sum(np.tensordot(e, Ps @ v.reshape(n, -1), axes=1) for e, v in ((e1, x), (e2, y)))
+        want = want.reshape(len(times), *shape)
+        got = rd.mode_sum(e2, y, out=rd.mode_sum(e1, x))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestLemma3:
